@@ -18,7 +18,7 @@ from .flowgraph import (
     check_feasible,
     enumerate_cut_constraints,
 )
-from .lpcore import LPSolution, brute_force_optimum, solve_min_cost, verify_dual
+from .lpcore import LPSolution, solve_min_cost, verify_dual
 from .coder import (
     CodeState,
     RepairPlan,

@@ -33,13 +33,6 @@ class FlowGraph:
     spec: NetworkSpec
     edge_index: tuple[tuple[int, int], ...]
 
-    @property
-    def new_node(self) -> int:
-        return self.spec.failed
-
-    def edges_into_new_node(self) -> list[tuple[int, int]]:
-        return [e for e in self.edge_index if e[1] == self.new_node]
-
 
 def build_flow_graph(spec: NetworkSpec) -> FlowGraph:
     """Retain the finite-cost links among helpers that can still reach the

@@ -1,8 +1,16 @@
-"""Exact rational two-phase simplex for the minimum-cost repair LP.
+"""Exact rational dual simplex for the minimum-cost repair LP.
 
 Minimizes c.z subject to Lz >= b, z >= 0, entirely in Fraction
-arithmetic. Bland's rule makes the pivot sequence deterministic and
-cycle-free. Alongside the optimal vertex the solver emits a dual
+arithmetic. Costs are nonnegative, so the all-slack basis of
+-Lz + s = -b is already dual feasible and the dual simplex (Lemke 1954)
+starts there, with no phase 1 and no artificial columns.
+
+Each pivot removes the row with the most negative right-hand side (ties:
+lowest row) and enters the column with the smallest ratio
+cbar_j / -a_rj (ties: highest column). After as many consecutive
+degenerate pivots (ratio 0) as there are rows, Bland's rule takes over
+until the objective rises, so the pivot sequence is deterministic and
+cannot cycle. At the optimum the reduced costs of the slacks form a dual
 certificate y >= 0 with y'L <= c' and y'b equal to the optimum, so every
 solve is self-auditing.
 """
@@ -14,6 +22,9 @@ from fractions import Fraction
 
 from .flowgraph import ConstraintSet
 
+# consecutive degenerate pivots, per row, before Bland's rule takes over
+_DEGENERATE_RUN_PER_ROW = 1
+
 
 class LPError(ValueError):
     pass
@@ -21,86 +32,24 @@ class LPError(ValueError):
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | infeasible (costs >= 0 rule out unbounded)
     value: Fraction
     z_star: tuple[Fraction, ...]
     dual: tuple[Fraction, ...]
     pivots: int
 
 
-def _gauss_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve Ax = b exactly; A square nonsingular (small systems only)."""
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
-class _Tableau:
-    """Row-reduced simplex tableau with Bland pivoting."""
-
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], basis: list[int]):
-        self.rows = rows
-        self.rhs = rhs
-        self.basis = basis
-        self.pivots = 0
-
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        ncols = len(self.rows[0])
-        cbar = list(cost)
-        for i, bi in enumerate(self.basis):
-            cb = cost[bi]
-            if cb != 0:
-                for j in range(ncols):
-                    cbar[j] -= cb * self.rows[i][j]
-        return cbar
-
-    def pivot(self, row: int, col: int) -> None:
-        inv = Fraction(1) / self.rows[row][col]
-        self.rows[row] = [x * inv for x in self.rows[row]]
-        self.rhs[row] *= inv
-        prow = self.rows[row]
-        prhs = self.rhs[row]
-        for r in range(len(self.rows)):
-            if r == row:
-                continue
-            f = self.rows[r][col]
-            if f != 0:
-                self.rows[r] = [x - f * y for x, y in zip(self.rows[r], prow)]
-                self.rhs[r] -= f * prhs
-        self.basis[row] = col
-        self.pivots += 1
-
-    def run(self, cost: list[Fraction]) -> str:
-        """Minimize cost over the current tableau. Returns optimal|unbounded."""
-        while True:
-            cbar = self.reduced_costs(cost)
-            enter = next((j for j, c in enumerate(cbar) if c < 0), None)
-            if enter is None:
-                return "optimal"
-            leave = None
-            best = None
-            for i, row in enumerate(self.rows):
-                if row[enter] > 0:
-                    ratio = self.rhs[i] / row[enter]
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best, leave = ratio, i
-            if leave is None:
-                return "unbounded"
-            self.pivot(leave, enter)
-
-    def objective(self, cost: list[Fraction]) -> Fraction:
-        return sum(cost[bi] * self.rhs[i] for i, bi in enumerate(self.basis))
+def _entering_column(row, cbar, bland: bool):
+    """Dual ratio test over the negative entries of the leaving row; None
+    if there are none. Ties go to the highest column, or under Bland's
+    rule to the lowest. Returns (column, ratio)."""
+    enter = best = None
+    for j, a in enumerate(row):
+        if a < 0:
+            ratio = cbar[j] / -a
+            if best is None or ratio < best or (ratio == best and not bland):
+                enter, best = j, ratio
+    return enter, best
 
 
 def solve_min_cost(cs: ConstraintSet, costs) -> LPSolution:
@@ -115,69 +64,49 @@ def solve_min_cost(cs: ConstraintSet, costs) -> LPSolution:
     if r == 0:
         return LPSolution("optimal", Fraction(0), (Fraction(0),) * m, (), 0)
 
-    # equality form: sign*(L z) - sign*s + a = sign*b with rhs >= 0
-    signs = [1 if b >= 0 else -1 for b in cs.rhs]
-    nslack = r
-    ncols = m + nslack + r  # z, slacks, artificials
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(r):
-        s = signs[i]
-        row = [Fraction(s * c) for c in cs.rows[i]] + [Fraction(0)] * (nslack + r)
-        row[m + i] = Fraction(-s)
-        row[m + nslack + i] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(s) * cs.rhs[i])
-    tab = _Tableau(rows, rhs, basis=list(range(m + nslack, ncols)))
+    # tableau of -Lz + s = -b over columns z_0..z_{m-1}, s_0..s_{r-1}
+    rows = [[-c for c in row] + [int(k == i) for k in range(r)]
+            for i, row in enumerate(cs.rows)]
+    rhs = [-Fraction(b) for b in cs.rhs]
+    basis = list(range(m, m + r))
+    cbar = costs + [Fraction(0)] * r
+    pivots = degenerate = 0
+    while True:
+        short = [i for i in range(r) if rhs[i] < 0]
+        if not short:
+            break
+        bland = degenerate >= _DEGENERATE_RUN_PER_ROW * r
+        # min keeps the first of equal keys, so rhs ties go to the lowest row
+        leave = min(short, key=(basis if bland else rhs).__getitem__)
+        enter, ratio = _entering_column(rows[leave], cbar, bland)
+        if enter is None:
+            # row reads (nonnegative terms) = rhs < 0: no z >= 0 meets it
+            return LPSolution("infeasible", Fraction(0), (), (), pivots)
+        degenerate = degenerate + 1 if ratio == 0 else 0
 
-    phase1 = [Fraction(0)] * (m + nslack) + [Fraction(1)] * r
-    tab.run(phase1)
-    if tab.objective(phase1) != 0:
-        return LPSolution("infeasible", Fraction(0), (), (), tab.pivots)
-
-    # drive remaining artificials out of the basis; fully zero rows are redundant
-    live = list(range(r))
-    for i in range(r - 1, -1, -1):
-        if tab.basis[i] >= m + nslack:
-            col = next((j for j in range(m + nslack) if tab.rows[i][j] != 0), None)
-            if col is None:
-                del tab.rows[i], tab.rhs[i], tab.basis[i], live[i]
-            else:
-                tab.pivot(i, col)
-    for row in tab.rows:
-        del row[m + nslack:]
-
-    phase2 = costs + [Fraction(0)] * nslack
-    status = tab.run(phase2)
-    if status == "unbounded":
-        return LPSolution("unbounded", Fraction(0), (), (), tab.pivots)
+        inv = 1 / Fraction(rows[leave][enter])
+        prow = rows[leave] = [x * inv for x in rows[leave]]
+        rhs[leave] *= inv
+        nonzero = [(j, x) for j, x in enumerate(prow) if x]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if f and i != leave:
+                for j, x in nonzero:
+                    row[j] -= f * x
+                rhs[i] -= f * rhs[leave]
+        f = cbar[enter]
+        if f:
+            for j, x in nonzero:
+                cbar[j] -= f * x
+        basis[leave] = enter
+        pivots += 1
 
     z = [Fraction(0)] * m
-    for i, bi in enumerate(tab.basis):
+    for i, bi in enumerate(basis):
         if bi < m:
-            z[bi] = tab.rhs[i]
+            z[bi] = rhs[i]
     value = sum(c * v for c, v in zip(costs, z))
-
-    # dual from the optimal basis: y solves y'B = c_B over the live rows
-    nlive = len(live)
-    dual = [Fraction(0)] * r
-    if nlive:
-        B_t = []  # transposed basis matrix, one equation per basis column
-        cb = []
-        for bi in tab.basis:
-            col = []
-            for li in live:
-                if bi < m:
-                    col.append(Fraction(signs[li] * cs.rows[li][bi]))
-                else:
-                    col.append(Fraction(-signs[li]) if bi - m == li else Fraction(0))
-            B_t.append(col)
-            cb.append(phase2[bi])
-        y = _gauss_solve(B_t, cb)
-        for pos, li in enumerate(live):
-            dual[li] = Fraction(signs[li]) * y[pos]
-
-    return LPSolution("optimal", value, tuple(z), tuple(dual), tab.pivots)
+    return LPSolution("optimal", value, tuple(z), tuple(cbar[m:]), pivots)
 
 
 def verify_dual(cs: ConstraintSet, costs, sol: LPSolution) -> bool:
@@ -193,58 +122,3 @@ def verify_dual(cs: ConstraintSet, costs, sol: LPSolution) -> bool:
         if sum(y[i] * cs.rows[i][j] for i in range(len(y))) > Fraction(costs[j]):
             return False
     return sum(yi * bi for yi, bi in zip(y, cs.rhs)) == sol.value
-
-
-def brute_force_optimum(cs: ConstraintSet, costs, granularity: int = 1,
-                        cap=None, node_limit: int = 20_000_000) -> Fraction:
-    """Exhaustive minimum of c.z over the 1/granularity grid.
-
-    Independent oracle for the simplex: agrees with solve_min_cost
-    whenever the LP optimum lies on the grid. Coordinates range over
-    {0, 1/g, ..., cap}; branches are pruned once the partial cost can no
-    longer beat the incumbent.
-    """
-    m = len(cs.edge_index)
-    if m > 8:
-        raise LPError("brute force restricted to at most 8 edges")
-    g = int(granularity)
-    if g < 1:
-        raise LPError("granularity must be a positive integer")
-    costs = [Fraction(c) for c in costs]
-    if cap is None:
-        cap = max(cs.rhs, default=Fraction(0))
-    cap_units = int(Fraction(cap) * g)  # z_i in units of 1/g
-    if (cap_units + 1) ** max(m, 1) > node_limit * 1000:
-        raise LPError("search space above configured limit")
-
-    rows = [list(row) for row in cs.rows]
-    rhs_units = [b * g for b in cs.rhs]
-    best: list[Fraction | None] = [None]
-    z = [0] * m
-    visited = [0]
-
-    def feasible() -> bool:
-        for row, b in zip(rows, rhs_units):
-            if sum(c * v for c, v in zip(row, z)) < b:
-                return False
-        return True
-
-    def dfs(idx: int, cost_so_far: Fraction) -> None:
-        visited[0] += 1
-        if visited[0] > node_limit:
-            raise LPError("search space above configured limit")
-        if best[0] is not None and cost_so_far >= best[0]:
-            return
-        if idx == m:
-            if feasible():
-                best[0] = cost_so_far
-            return
-        for v in range(cap_units + 1):
-            z[idx] = v
-            dfs(idx + 1, cost_so_far + costs[idx] * Fraction(v, g))
-        z[idx] = 0
-
-    dfs(0, Fraction(0))
-    if best[0] is None:
-        raise LPError("no feasible grid point within the cap")
-    return best[0]

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately share no code with the package: max-flow instead of
-cut enumeration, exhaustive path enumeration instead of Dijkstra.
+cut enumeration, exhaustive path enumeration instead of Dijkstra, and an
+exhaustive grid search instead of the simplex.
 """
 
 from collections import deque
@@ -10,6 +11,10 @@ from fractions import Fraction
 from repairopt.flowgraph import build_flow_graph
 
 INF = Fraction(10**12)
+
+
+class OracleError(ValueError):
+    """An oracle refused its input or found no answer."""
 
 
 def max_flow_value(spec, z, K):
@@ -78,3 +83,58 @@ def all_paths_min_cost(cost, i, j, _seen=None):
         if best is None or total < best:
             best = total
     return best
+
+
+def brute_force_optimum(cs, costs, granularity: int = 1,
+                        cap=None, node_limit: int = 20_000_000) -> Fraction:
+    """Exhaustive minimum of c.z over the 1/granularity grid.
+
+    Independent oracle for the simplex: agrees with solve_min_cost
+    whenever the LP optimum lies on the grid. Coordinates range over
+    {0, 1/g, ..., cap}; branches are pruned once the partial cost can no
+    longer beat the incumbent.
+    """
+    m = len(cs.edge_index)
+    if m > 8:
+        raise OracleError("brute force restricted to at most 8 edges")
+    g = int(granularity)
+    if g < 1:
+        raise OracleError("granularity must be a positive integer")
+    costs = [Fraction(c) for c in costs]
+    if cap is None:
+        cap = max(cs.rhs, default=Fraction(0))
+    cap_units = int(Fraction(cap) * g)  # z_i in units of 1/g
+    if (cap_units + 1) ** max(m, 1) > node_limit * 1000:
+        raise OracleError("search space above configured limit")
+
+    rows = [list(row) for row in cs.rows]
+    rhs_units = [b * g for b in cs.rhs]
+    best: list[Fraction | None] = [None]
+    z = [0] * m
+    visited = [0]
+
+    def feasible() -> bool:
+        for row, b in zip(rows, rhs_units):
+            if sum(c * v for c, v in zip(row, z)) < b:
+                return False
+        return True
+
+    def dfs(idx: int, cost_so_far: Fraction) -> None:
+        visited[0] += 1
+        if visited[0] > node_limit:
+            raise OracleError("search space above configured limit")
+        if best[0] is not None and cost_so_far >= best[0]:
+            return
+        if idx == m:
+            if feasible():
+                best[0] = cost_so_far
+            return
+        for v in range(cap_units + 1):
+            z[idx] = v
+            dfs(idx + 1, cost_so_far + costs[idx] * Fraction(v, g))
+        z[idx] = 0
+
+    dfs(0, Fraction(0))
+    if best[0] is None:
+        raise OracleError("no feasible grid point within the cap")
+    return best[0]

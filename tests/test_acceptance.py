@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from conftest import solved_fixture
-from oracles import max_flow_value
+from oracles import brute_force_optimum, max_flow_value
 
 from repairopt import coder, exacttandem
 from repairopt.bounds import (
@@ -42,7 +42,7 @@ from repairopt.flowgraph import (
 )
 from repairopt.fixtures import BUILDERS, PUBLISHED
 from repairopt.gfalg import smallest_prime_geq
-from repairopt.lpcore import brute_force_optimum, solve_min_cost, verify_dual
+from repairopt.lpcore import solve_min_cost, verify_dual
 from repairopt.netmodel import baseline_cost, build_topology
 
 

@@ -19,9 +19,10 @@ from repairopt.coder import (
     simulate_stages,
     verify_rcp,
 )
-from repairopt.fixtures import complete5_cost3, grid2x3, star6, tandem4
+from repairopt.fixtures import BUILDERS, complete5_cost3, grid2x3, star6, tandem4
 from repairopt.flowgraph import build_flow_graph, enumerate_cut_constraints
 from repairopt.lpcore import solve_min_cost
+from repairopt.netmodel import build_topology
 
 # worked 4-node line example, coefficient order (a1, b1, a2, b2)
 NODE1 = [(1, 0, 0, 0), (0, 1, 0, 0)]
@@ -82,6 +83,30 @@ class TestPlans:
                             z_star=sol.z_star, dual=sol.dual, pivots=0)
         with pytest.raises(CoderError):
             make_plan(spec, cs, bad)
+
+
+class TestPlanCost:
+    """The LP vertex sets the subfragment scale, and with it the field size
+    and the cost of coding; a different vertex at a degenerate optimum must
+    not raise it."""
+
+    FIXTURE_SCALES = {"tandem-n4": 1, "grid-2x3": 3, "complete-n5-unit": 1,
+                      "complete-n5-cost3": 1, "star-n6": 3, "star-n6-M9": 1}
+    # grid 3x3 k4 (M=8, alpha=2), failure positions 1..9
+    GRID3X3_MAX_SCALES = (3, 3, 3, 3, 5, 3, 5, 3, 3)
+
+    def test_fixture_scales_unchanged(self):
+        assert set(self.FIXTURE_SCALES) == set(BUILDERS)
+        for name, builder in BUILDERS.items():
+            _, _, plan = solved_plan(builder())
+            assert plan.scale == self.FIXTURE_SCALES[name], name
+
+    @pytest.mark.parametrize("failed", range(1, 10))
+    def test_grid3x3_scale_not_above_reference(self, failed):
+        spec = build_topology("grid", 9, k=4, M="8", alpha="2", rows=3,
+                              cols=3, failed=failed)
+        _, _, plan = solved_plan(spec)
+        assert plan.scale <= self.GRID3X3_MAX_SCALES[failed - 1]
 
 
 class TestVerifyRcp:

@@ -2,14 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import OracleError, brute_force_optimum
 
-from repairopt.flowgraph import ConstraintSet, check_feasible
-from repairopt.lpcore import (
-    LPError,
-    brute_force_optimum,
-    solve_min_cost,
-    verify_dual,
+from repairopt import lpcore
+from repairopt.fixtures import BUILDERS
+from repairopt.flowgraph import (
+    ConstraintSet,
+    build_flow_graph,
+    check_feasible,
+    enumerate_cut_constraints,
 )
+from repairopt.lpcore import LPError, solve_min_cost, verify_dual
+from repairopt.netmodel import build_topology
 
 EDGES2 = ((1, 3), (2, 3))
 
@@ -52,6 +57,24 @@ class TestSolve:
         sol = solve_min_cost(cs, [1, 1])
         assert sol.status == "infeasible"
 
+    def test_infeasible_after_pivoting(self):
+        # z1 + z2 >= 2 and z1 + z2 <= 1: the second row turns
+        # all-nonnegative with a negative rhs only after the first pivot
+        cs = make_cs([(1, 1), (-1, -1)], [2, -1])
+        sol = solve_min_cost(cs, [1, 1])
+        assert sol.status == "infeasible"
+        assert sol.pivots == 1
+
+    def test_negative_cost_rejected(self):
+        cs = make_cs([(1, 1)], [1])
+        with pytest.raises(LPError):
+            solve_min_cost(cs, [1, -1])
+
+    def test_cost_count_checked(self):
+        cs = make_cs([(1, 1)], [1])
+        with pytest.raises(LPError):
+            solve_min_cost(cs, [1])
+
     def test_vertex_feasibility_on_fixtures(self, solved):
         for name in ("tandem-n4", "grid-2x3", "complete-n5-unit",
                      "complete-n5-cost3", "star-n6", "star-n6-M9"):
@@ -93,6 +116,78 @@ class TestScaleCovariance:
             assert verify_dual(cs, costs, sol)
 
 
+# the scale ladder, up to 330 cut rows, with M = 2k and alpha = 2
+LADDER = [
+    pytest.param(("grid", 12, 12, dict(k=5, rows=3, cols=4)), Fraction(7),
+                 id="grid-3x4-k5@12"),
+    pytest.param(("grid", 12, 6, dict(k=5, rows=3, cols=4)), Fraction(11, 2),
+                 id="grid-3x4-k5@6"),
+    pytest.param(("complete", 9, 9, dict(k=4)), Fraction(16, 5),
+                 id="complete-n9-k4@9"),
+    pytest.param(("star", 12, 1, dict(k=5, center=1)), Fraction(22, 7),
+                 id="star-n12-k5@centre"),
+]
+
+
+class TestScaleLadder:
+    @pytest.mark.parametrize("net, value", LADDER)
+    def test_large_lp_certifies(self, net, value):
+        kind, n, failed, shape = net
+        spec = build_topology(kind, n, failed=failed, M=str(2 * shape["k"]),
+                              alpha="2", **shape)
+        cs = enumerate_cut_constraints(build_flow_graph(spec))
+        costs = [spec.cost.cost(i, j) for (i, j) in cs.edge_index]
+        sol = solve_min_cost(cs, costs)
+        assert sol.status == "optimal"
+        assert sol.value == value
+        assert verify_dual(cs, costs, sol)
+        assert check_feasible(cs, sol.z_star)
+
+
+# cut systems of at most three edges with 0/1 rows and integral rhs: every
+# vertex lies on the half-integer grid (a 0/1 matrix of order <= 3 has
+# determinant at most 2) and within max(rhs) of the origin
+small_systems = st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.tuples(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                       st.integers(1, 4)), max_size=5),
+    st.lists(st.integers(0, 5), min_size=m, max_size=m),
+    st.just(m)))
+
+
+class TestRandomSystems:
+    @settings(max_examples=150, deadline=None)
+    @given(small_systems)
+    def test_matches_brute_force_and_certifies(self, system):
+        rows, costs, m = system
+        cs = make_cs([r for r, _ in rows], [b for _, b in rows],
+                     edges=tuple((i, m + 1) for i in range(1, m + 1)))
+        sol = solve_min_cost(cs, costs)
+        assert solve_min_cost(cs, costs) == sol
+        if sol.status == "infeasible":
+            assert any(not any(r) for r, _ in rows)
+            with pytest.raises(OracleError):
+                brute_force_optimum(cs, costs, granularity=2)
+            return
+        assert sol.status == "optimal"
+        assert sol.value == brute_force_optimum(cs, costs, granularity=2)
+        assert verify_dual(cs, costs, sol)
+        assert check_feasible(cs, sol.z_star)
+
+
+class TestBlandFallback:
+    def test_bland_throughout_keeps_fixture_optima(self, solved, monkeypatch):
+        # solve (and cache) under the default rule before switching it off
+        reference = {name: solved(name) for name in BUILDERS}
+        monkeypatch.setattr(lpcore, "_DEGENERATE_RUN_PER_ROW", 0)
+        for name, (spec, cs, costs, sol) in reference.items():
+            bland = solve_min_cost(cs, costs)
+            assert bland.status == "optimal", name
+            assert bland.value == sol.value, name
+            assert bland.dual == sol.dual, name
+            assert verify_dual(cs, costs, bland), name
+            assert check_feasible(cs, bland.z_star), name
+
+
 class TestBruteForce:
     def test_matches_simplex_on_integral_fixture(self, solved):
         spec, cs, costs, sol = solved("tandem-n4")
@@ -104,15 +199,15 @@ class TestBruteForce:
 
     def test_refusal_above_eight_edges(self, solved):
         spec, cs, costs, _ = solved("complete-n5-unit")
-        with pytest.raises(LPError):
+        with pytest.raises(OracleError):
             brute_force_optimum(cs, costs)
 
     def test_infeasible_within_cap(self):
         cs = make_cs([(0, 0)], [1])
-        with pytest.raises(LPError):
+        with pytest.raises(OracleError):
             brute_force_optimum(cs, [1, 1])
 
     def test_granularity_validation(self):
         cs = make_cs([(1, 0)], [1])
-        with pytest.raises(LPError):
+        with pytest.raises(OracleError):
             brute_force_optimum(cs, [1, 1], granularity=0)
