@@ -17,6 +17,7 @@ from .flowgraph import (
     build_flow_graph,
     check_feasible,
     enumerate_cut_constraints,
+    repair_cuts,
 )
 from .lpcore import LPSolution, solve_min_cost, verify_dual
 from .coder import (

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flowgraph import build_flow_graph, enumerate_cut_constraints
-from .lpcore import solve_min_cost
+from .flowgraph import repair_cuts
+from .lpcore import LPError, solve_min_cost
 from .netmodel import NetworkSpec, baseline_cost
 
 
@@ -79,12 +79,9 @@ def closed_form_for(spec: NetworkSpec) -> Fraction | None:
 
 def compare_lp_to_bounds(spec: NetworkSpec) -> GainReport:
     """Solve the LP and report baseline, optimum, gain, and the closed form."""
-    fg = build_flow_graph(spec)
-    cs = enumerate_cut_constraints(fg)
-    costs = [spec.cost.cost(i, j) for (i, j) in cs.edge_index]
-    sol = solve_min_cost(cs, costs)
+    sol = solve_min_cost(*repair_cuts(spec))
     if sol.status != "optimal":
-        raise RuntimeError(f"LP did not solve: {sol.status}")
+        raise LPError(f"LP did not solve: {sol.status}")
     base = baseline_cost(spec)
     if sol.value < 0 or sol.value > base:
         raise RuntimeError("LP value violates the baseline sandwich")

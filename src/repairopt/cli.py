@@ -7,6 +7,7 @@ are JSON (machine), CSV, or aligned text, with rationals serialized as
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -17,11 +18,17 @@ import click
 
 from . import bounds as bounds_mod
 from . import coder, exacttandem, fixtures
-from .flowgraph import build_flow_graph, check_feasible, enumerate_cut_constraints
-from .lpcore import solve_min_cost
+from .flowgraph import (
+    FlowGraphError,
+    build_flow_graph,
+    check_feasible,
+    enumerate_cut_constraints,
+    repair_cuts,
+)
+from .lpcore import LPError, solve_min_cost
 from .netmodel import (
+    TOPOLOGIES,
     TopologyError,
-    baseline_cost,
     build_topology,
     format_rational,
     parse_rational,
@@ -72,10 +79,39 @@ def _emit(payload, fmt: str, out: str | None, filename: str):
         click.echo(text)
 
 
+def _coded(what: str, run, *args, **kwargs):
+    """Run a coder pipeline; a CoderError exits 1 with a one-line message."""
+    try:
+        return run(*args, **kwargs)
+    except coder.CoderError as exc:
+        click.echo(f"{what} failed: {exc}", err=True)
+        sys.exit(1)
+
+
+def _render(report: dict) -> dict:
+    """A code or stage report with its rationals as "p/q" strings."""
+    return {key: (format_rational(v) if isinstance(v, Fraction) else v)
+            for key, v in report.items()}
+
+
 def spec_options(fn):
+    """Add the network options to a command and pass it the spec they
+    describe as `spec`. An input the package rejects while the command
+    runs ends in a usage error, not a traceback."""
+
+    @functools.wraps(fn)
+    def command(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols,
+                **kwargs):
+        spec = _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center,
+                          rows, cols)
+        try:
+            return fn(spec, **kwargs)
+        except (TopologyError, FlowGraphError, LPError) as exc:
+            raise click.UsageError(str(exc))
+
     decorators = [
         click.option("--spec", "spec_path", type=click.Path(), help="Network-spec JSON file."),
-        click.option("--topology", type=click.Choice(["tandem", "star", "grid", "complete"])),
+        click.option("--topology", type=click.Choice(TOPOLOGIES)),
         click.option("--n", type=int),
         click.option("--k", type=int),
         click.option("--d", type=int),
@@ -87,8 +123,8 @@ def spec_options(fn):
         click.option("--cols", type=int),
     ]
     for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
+        command = dec(command)
+    return command
 
 
 @click.group()
@@ -104,9 +140,8 @@ def topology():
 @topology.command("gen")
 @spec_options
 @click.option("--out", type=click.Path(), help="Directory for the generated file.")
-def topology_gen(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols, out):
+def topology_gen(spec, out):
     """Generate a network-spec JSON document."""
-    spec = _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols)
     _emit(spec_to_json(spec), "json", out, "network.json")
 
 
@@ -114,11 +149,9 @@ def topology_gen(spec_path, topology, n, k, d, alpha, m, failed, center, rows, c
 @spec_options
 @click.option("--raw", is_flag=True, help="Skip constraint reduction.")
 @click.option("--out", type=click.Path())
-def constraints(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols, raw, out):
+def constraints(spec, raw, out):
     """Enumerate the cut-set constraints of the repair LP."""
-    spec = _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols)
-    fg = build_flow_graph(spec)
-    cs = enumerate_cut_constraints(fg, reduce=not raw)
+    cs = enumerate_cut_constraints(build_flow_graph(spec), reduce=not raw)
     _emit(cs.to_json(), "json", out, "constraints.json")
 
 
@@ -126,12 +159,9 @@ def constraints(spec_path, topology, n, k, d, alpha, m, failed, center, rows, co
 @spec_options
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--out", type=click.Path())
-def solve(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols, fmt, out):
+def solve(spec, fmt, out):
     """Solve the minimum-cost repair LP exactly."""
-    spec = _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols)
-    fg = build_flow_graph(spec)
-    cs = enumerate_cut_constraints(fg)
-    costs = [spec.cost.cost(i, j) for (i, j) in cs.edge_index]
+    cs, costs = repair_cuts(spec)
     sol = solve_min_cost(cs, costs)
     payload = {
         "status": sol.status,
@@ -148,9 +178,8 @@ def solve(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols, fm
 @main.command("bounds")
 @spec_options
 @click.option("--out", type=click.Path())
-def bounds_cmd(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols, out):
+def bounds_cmd(spec, out):
     """Compare the LP optimum to baselines and closed-form bounds (CSV)."""
-    spec = _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols)
     report = bounds_mod.compare_lp_to_bounds(spec)
     gain_paper = ""
     if spec.kind == "tandem" and spec.failed in (1, spec.n):
@@ -173,20 +202,11 @@ def bounds_cmd(spec_path, topology, n, k, d, alpha, m, failed, center, rows, col
 @click.option("--seed", type=int)
 @click.option("--retries", "-R", type=int, default=coder.DEFAULT_RETRIES)
 @click.option("--out", type=click.Path())
-def code(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols, seed, retries, out):
+def code(spec, seed, retries, out):
     """Construct and verify a code achieving the LP-optimal repair cost."""
-    spec = _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols)
-    seed = _seed_option(seed)
-    try:
-        report = coder.run_repair(spec, seed, retries=retries)
-    except coder.CoderError as exc:
-        click.echo(f"code construction failed: {exc}", err=True)
-        sys.exit(1)
-    payload = {key: (format_rational(v) if isinstance(v, Fraction) else v)
-               for key, v in report.items()}
-    _emit(payload, "json", out, "code-report.json")
-    if not report["rcp_ok"]:
-        sys.exit(1)
+    report = _coded("code construction", coder.run_repair, spec, _seed_option(seed),
+                    retries=retries)
+    _emit(_render(report), "json", out, "code-report.json")
 
 
 @main.command()
@@ -195,27 +215,13 @@ def code(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols, see
 @click.option("--seed", type=int)
 @click.option("--retries", "-R", type=int, default=coder.DEFAULT_RETRIES)
 @click.option("--out", type=click.Path())
-def simulate(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols,
-             stages, seed, retries, out):
+def simulate(spec, stages, seed, retries, out):
     """Run repeated failure/repair stages and verify the code each time."""
-    spec = _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols)
     seed = _seed_option(seed)
-    try:
-        reports = coder.simulate_stages(spec, stages, seed, retries=retries)
-    except coder.CoderError as exc:
-        click.echo(f"simulation failed: {exc}", err=True)
-        sys.exit(1)
-    payload = {
-        "seed": seed,
-        "stages": [
-            {key: (format_rational(v) if isinstance(v, Fraction) else v)
-             for key, v in rep.items()}
-            for rep in reports
-        ],
-    }
-    _emit(payload, "json", out, "simulation.json")
-    if any(not rep["rcp_ok"] for rep in reports):
-        sys.exit(1)
+    reports = _coded("simulation", coder.simulate_stages, spec, stages, seed,
+                     retries=retries)
+    _emit({"seed": seed, "stages": [_render(r) for r in reports]}, "json", out,
+          "simulation.json")
 
 
 @main.command("exact-repair")
@@ -256,11 +262,9 @@ def exact_repair_cmd(n, k, q, failed, k1, k2, seed, out):
 @spec_options
 @click.option("--z", "z_text", required=True,
               help="Comma-separated fragment counts, matching the edge order.")
-def verify(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols, z_text):
+def verify(spec, z_text):
     """Check a user-supplied subgraph against the cut constraints."""
-    spec = _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols)
-    fg = build_flow_graph(spec)
-    cs = enumerate_cut_constraints(fg)
+    cs, costs = repair_cuts(spec)
     try:
         z = [parse_rational(part) for part in z_text.split(",")]
         if any(v is None for v in z):
@@ -268,7 +272,7 @@ def verify(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols, z
         feasible = check_feasible(cs, z)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    cost = sum(spec.cost.cost(i, j) * v for (i, j), v in zip(cs.edge_index, z))
+    cost = sum(c * v for c, v in zip(costs, z))
     click.echo(json.dumps({
         "feasible": feasible,
         "cost": format_rational(cost),

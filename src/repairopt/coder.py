@@ -1,13 +1,15 @@
 """Construction and verification of optimal-cost minimum-storage codes.
 
-The pipeline: solve the repair LP, scale the optimal subgraph to integral
-fragment counts, pick a prime field from the degree bound, then execute
-the repair as random linear coding with surviving-node cooperation. Nodes
-are processed in topological order; each forwards fresh random
-combinations of everything it stores plus everything it received this
-stage, and the regenerated node keeps random combinations of its inflow.
-Repair is functional: the new coefficients need not equal the lost ones,
-only the any-k-reconstruct property must survive.
+The pipeline: make_plan solves the repair LP, scales the optimal subgraph
+to integral fragment counts and picks a prime field from the degree bound;
+regenerate then executes the repair as random linear coding with
+surviving-node cooperation. Nodes are processed in topological order; each
+forwards fresh random combinations of everything it stores plus everything
+it received this stage, and the regenerated node keeps random combinations
+of its inflow. Repair is functional: the new coefficients need not equal
+the lost ones, only the any-k-reconstruct property (RCP) must survive.
+init_code and regenerate check it on every state they return, so their
+callers never check it again.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import gfalg
-from .flowgraph import FlowGraphError, build_flow_graph, enumerate_cut_constraints
-from .lpcore import LPSolution, solve_min_cost
+from .flowgraph import FlowGraphError, repair_cuts
+from .lpcore import solve_min_cost
 from .netmodel import NetworkSpec, TopologyError, respec_failure
 
 
@@ -64,26 +66,14 @@ class RepairPlan:
 def compute_n_nc(edges, counts, new_node: int) -> int:
     """1 + the largest number of encoding nodes on any active path into
     the new node (the new node itself counts as one encoder)."""
-    active = [(i, j) for (i, j), c in zip(edges, counts) if c > 0]
+    active = [(e, c) for e, c in zip(edges, counts) if c > 0]
     if not active:
         raise CoderError("empty repair plan")
-    nodes = {v for e in active for v in e}
-    indeg = {v: 0 for v in nodes}
-    for _, j in active:
-        indeg[j] += 1
-    order = [v for v in sorted(nodes) if indeg[v] == 0]
-    depth = {v: 0 for v in nodes}
-    seen = []
-    queue = list(order)
-    while queue:
-        v = queue.pop(0)
-        seen.append(v)
-        for (i, j) in active:
+    depth = {v: 0 for e, _ in active for v in e}
+    for v in _topological_nodes(active):
+        for (i, j), _ in active:
             if i == v:
                 depth[j] = max(depth[j], depth[i] + 1)
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
     return depth[new_node] + 1
 
 
@@ -95,8 +85,11 @@ def field_size_bound(n: int, k: int, M_scaled: int, n_nc: int) -> int:
     return math.comb(n, k) * M_scaled * n_nc
 
 
-def make_plan(spec: NetworkSpec, cs, sol: LPSolution) -> RepairPlan:
-    """Scale the LP vertex to integral subfragment counts and fix the field."""
+def make_plan(spec: NetworkSpec) -> RepairPlan:
+    """Solve the repair LP, scale its optimal vertex to integral subfragment
+    counts and fix the field."""
+    cs, costs = repair_cuts(spec)
+    sol = solve_min_cost(cs, costs)
     if sol.status != "optimal":
         raise CoderError(f"cannot plan from LP status {sol.status}")
     denoms = [v.denominator for v in sol.z_star]
@@ -123,9 +116,6 @@ class CodeState:
     alpha_s: int  # stored subfragments per node
     scale: int
     columns: tuple[tuple[tuple[int, ...], ...], ...]  # [node-1][col][row]
-
-    def node_columns(self, i: int) -> list[list[int]]:
-        return [list(c) for c in self.columns[i - 1]]
 
 
 def _subset_rank(state_columns, subset, M_s: int, q: int) -> int:
@@ -169,17 +159,7 @@ def init_code(spec: NetworkSpec, q: int, *, seed=None, rng: random.Random | None
     raise RetryExhaustedError(f"no valid initial code in {retries} attempts (q={q})")
 
 
-def load_code(q: int, k: int, node_columns, scale: int = 1) -> CodeState:
-    """Wrap explicit per-node coefficient columns as a CodeState."""
-    cols = tuple(tuple(tuple(c) for c in node) for node in node_columns)
-    n = len(cols)
-    M_s = len(cols[0][0])
-    alpha_s = len(cols[0])
-    return CodeState(q=q, n=n, k=k, M_s=M_s, alpha_s=alpha_s, scale=scale,
-                     columns=cols)
-
-
-def _topological_nodes(active, new_node: int) -> list[int]:
+def _topological_nodes(active) -> list[int]:
     nodes = {v for e, _ in active for v in e}
     indeg = {v: 0 for v in nodes}
     for (_, j), _ in active:
@@ -198,13 +178,25 @@ def _topological_nodes(active, new_node: int) -> list[int]:
     return order
 
 
+def _combine(rng: random.Random, pool, M_s: int, q: int) -> tuple[int, ...]:
+    """A random GF(q) combination of the vectors in pool, one draw each."""
+    combo = [0] * M_s
+    for vec in pool:
+        c = rng.randrange(q)
+        if c:
+            for r in range(M_s):
+                combo[r] += c * vec[r]
+    return tuple(x % q for x in combo)
+
+
 def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
                seed=None, rng: random.Random | None = None,
                retries: int = DEFAULT_RETRIES) -> tuple[CodeState, int]:
     """Execute the repair along the plan; returns (new state, attempts).
 
     Each attempt redraws every coding coefficient; an attempt fails only
-    if the regenerated system loses the any-k property.
+    if the regenerated system loses the any-k property, so the returned
+    state always holds it.
     """
     rng = rng if rng is not None else random.Random(seed)
     if plan.new_node != spec.failed:
@@ -219,37 +211,22 @@ def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
     if inflow < state.alpha_s:
         raise PlanInfeasibleError(
             f"plan delivers {inflow} subfragments, new node stores {state.alpha_s}")
-    order = _topological_nodes(active, plan.new_node)
+    order = _topological_nodes(active)
 
     for attempt in range(1, retries + 1):
-        received: dict[int, list[list[int]]] = {}
+        received: dict[int, list] = {}
         for node in order:
             if node == plan.new_node:
                 continue
-            pool = state.node_columns(node) + received.get(node, [])
+            pool = list(state.columns[node - 1]) + received.get(node, [])
             for (i, j), count in active:
-                if i != node:
-                    continue
-                for _ in range(count):
-                    combo = [0] * state.M_s
-                    for vec in pool:
-                        c = rng.randrange(q)
-                        if c:
-                            for r in range(state.M_s):
-                                combo[r] += c * vec[r]
-                    received.setdefault(j, []).append([x % q for x in combo])
+                if i == node:
+                    received.setdefault(j, []).extend(
+                        _combine(rng, pool, state.M_s, q) for _ in range(count))
         pool = received.get(plan.new_node, [])
-        new_cols = []
-        for _ in range(state.alpha_s):
-            combo = [0] * state.M_s
-            for vec in pool:
-                c = rng.randrange(q)
-                if c:
-                    for r in range(state.M_s):
-                        combo[r] += c * vec[r]
-            new_cols.append(tuple(x % q for x in combo))
         columns = list(state.columns)
-        columns[spec.failed - 1] = tuple(new_cols)
+        columns[spec.failed - 1] = tuple(
+            _combine(rng, pool, state.M_s, q) for _ in range(state.alpha_s))
         candidate = CodeState(q=q, n=state.n, k=state.k, M_s=state.M_s,
                               alpha_s=state.alpha_s, scale=state.scale,
                               columns=tuple(columns))
@@ -262,39 +239,25 @@ def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
 def run_repair(spec: NetworkSpec, seed=None, *, retries: int = DEFAULT_RETRIES) -> dict:
     """Full single-stage pipeline: constraints, LP, field choice, code
     initialization, repair execution and verification."""
-    fg = build_flow_graph(spec)
-    cs = enumerate_cut_constraints(fg)
-    costs = [spec.cost.cost(i, j) for (i, j) in cs.edge_index]
-    sol = solve_min_cost(cs, costs)
-    plan = make_plan(spec, cs, sol)
+    plan = make_plan(spec)
     rng = random.Random(seed)
     state, init_attempts = init_code(spec, plan.q, rng=rng, scale=plan.scale,
                                      retries=retries)
-    repaired, repair_attempts = regenerate(state, spec, plan, rng=rng, retries=retries)
-    ok, witness = verify_rcp(repaired)
+    _, repair_attempts = regenerate(state, spec, plan, rng=rng, retries=retries)
     return {
         "failed": spec.failed,
-        "lp_value": sol.value,
+        "lp_value": plan.lp_value,
         "achieved_cost": plan.achieved_cost(spec),
         "q": plan.q,
         "d0": plan.d0,
         "n_nc": plan.n_nc,
         "scale": plan.scale,
-        "rcp_ok": ok,
-        "witness": witness,
+        "rcp_ok": True,
+        "witness": None,
         "init_attempts": init_attempts,
         "repair_attempts": repair_attempts,
         "seed": seed,
     }
-
-
-def _plan_for_failure(spec: NetworkSpec, failed: int):
-    stage_spec = respec_failure(spec, failed)
-    fg = build_flow_graph(stage_spec)
-    cs = enumerate_cut_constraints(fg)
-    costs = [stage_spec.cost.cost(i, j) for (i, j) in cs.edge_index]
-    sol = solve_min_cost(cs, costs)
-    return stage_spec, make_plan(stage_spec, cs, sol)
 
 
 def _rescale_plan(plan: RepairPlan, scale: int, q: int, d0: int) -> RepairPlan:
@@ -320,7 +283,8 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
     plans: dict[int, tuple[NetworkSpec, RepairPlan]] = {}
     for node in range(1, spec.n + 1):
         try:
-            plans[node] = _plan_for_failure(spec, node)
+            stage_spec = respec_failure(spec, node)
+            plans[node] = stage_spec, make_plan(stage_spec)
         except (TopologyError, FlowGraphError):
             continue
     if not plans:
@@ -339,21 +303,17 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
     for stage in range(1, T + 1):
         failed = candidates[rng.randrange(len(candidates))]
         stage_spec, plan = plans[failed]
-        sol_value = plan.lp_value
         state, attempts = regenerate(state, stage_spec, plan, rng=rng, retries=retries)
-        ok, _ = verify_rcp(state)
         reports.append({
             "stage": stage,
             "failed": failed,
-            "lp_value": sol_value,
+            "lp_value": plan.lp_value,
             "achieved_cost": plan.achieved_cost(stage_spec),
             "q": q,
             "d0": plan.d0,
             "n_nc": plan.n_nc,
-            "rcp_ok": ok,
+            "rcp_ok": True,
             "repair_attempts": attempts,
             "seed": seed,
         })
-        if not ok:
-            break
     return reports

@@ -97,8 +97,7 @@ def check_feasible(cs: ConstraintSet, z) -> bool:
     return True
 
 
-def enumerate_cut_constraints(fg: FlowGraph, spec: NetworkSpec | None = None,
-                              *, reduce: bool = True) -> ConstraintSet:
+def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> ConstraintSet:
     """Enumerate every source/DC vertex partition for every (k-1)-subset of
     helpers and emit its cut inequality.
 
@@ -110,7 +109,7 @@ def enumerate_cut_constraints(fg: FlowGraph, spec: NetworkSpec | None = None,
     always dropped (they constrain nothing); reduce=True additionally
     removes dominated rows.
     """
-    spec = spec or fg.spec
+    spec = fg.spec
     if spec.n > 12:
         raise FlowGraphError("cut enumeration is exponential; capped at n <= 12")
     nu = spec.failed
@@ -155,3 +154,10 @@ def enumerate_cut_constraints(fg: FlowGraph, spec: NetworkSpec | None = None,
         rows=tuple(r for r, _ in ordered),
         rhs=tuple(b for _, b in ordered),
     )
+
+
+def repair_cuts(spec: NetworkSpec) -> tuple[ConstraintSet, list[Fraction]]:
+    """The reduced cut constraints of a repair stage and the link cost of
+    each of their edges: the input of the repair LP."""
+    cs = enumerate_cut_constraints(build_flow_graph(spec))
+    return cs, [spec.cost.cost(i, j) for (i, j) in cs.edge_index]

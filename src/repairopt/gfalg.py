@@ -2,7 +2,7 @@
 
 Matrices are plain row-major lists of ints in [0, q); all routines take
 the prime modulus explicitly. Elimination uses the first nonzero pivot in
-column order so determinants and solutions are reproducible.
+column order so ranks and solutions are reproducible.
 """
 
 from __future__ import annotations
@@ -43,35 +43,11 @@ def smallest_prime_geq(x: int, limit: int = PRIME_SEARCH_LIMIT) -> int:
     return p
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]], q: int) -> list[list[int]]:
-    if len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    cols = len(b[0])
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for x, brow in zip(row, b):
-            if x:
-                for j in range(cols):
-                    acc[j] += x * brow[j]
-        out.append([v % q for v in acc])
-    return out
-
-
-def mat_vec(a: list[list[int]], v: list[int], q: int) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) % q for row in a]
-
-
-def _eliminate(m: list[list[int]], q: int) -> tuple[list[list[int]], list[int], int]:
-    """Row echelon form; returns (matrix, pivot columns, swap sign)."""
+def _eliminate(m: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot columns)."""
     m = [[x % q for x in row] for row in m]
     nrows, ncols = len(m), len(m[0])
     pivots = []
-    sign = 1
     row = 0
     for col in range(ncols):
         if row >= nrows:
@@ -79,9 +55,7 @@ def _eliminate(m: list[list[int]], q: int) -> tuple[list[list[int]], list[int], 
         piv = next((r for r in range(row, nrows) if m[r][col] % q != 0), None)
         if piv is None:
             continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-            sign = -sign
+        m[row], m[piv] = m[piv], m[row]
         inv = pow(m[row][col], -1, q)
         m[row] = [(x * inv) % q for x in m[row]]
         for r in range(nrows):
@@ -90,37 +64,14 @@ def _eliminate(m: list[list[int]], q: int) -> tuple[list[list[int]], list[int], 
                 m[r] = [(x - f * y) % q for x, y in zip(m[r], m[row])]
         pivots.append(col)
         row += 1
-    return m, pivots, sign
+    return m, pivots
 
 
 def mat_rank(m: list[list[int]], q: int) -> int:
     if not m:
         return 0
-    _, pivots, _ = _eliminate(m, q)
+    _, pivots = _eliminate(m, q)
     return len(pivots)
-
-
-def mat_det(m: list[list[int]], q: int) -> int:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    work = [[x % q for x in row] for row in m]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] % q != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = (-det) % q
-        det = (det * work[col][col]) % q
-        inv = pow(work[col][col], -1, q)
-        work[col] = [(x * inv) % q for x in work[col]]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col]
-                work[r] = [(x - f * y) % q for x, y in zip(work[r], work[col])]
-    return det % q
 
 
 def mat_solve(a: list[list[int]], b: list[int], q: int) -> list[int]:
@@ -129,16 +80,8 @@ def mat_solve(a: list[list[int]], b: list[int], q: int) -> list[int]:
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve needs a square system")
     aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    reduced, pivots, _ = _eliminate(aug, q)
+    reduced, pivots = _eliminate(aug, q)
     if len(pivots) != n or pivots != list(range(n)):
         raise SingularMatrixError("singular system")
     return [reduced[i][n] % q for i in range(n)]
 
-
-def mat_inv(a: list[list[int]], q: int) -> list[list[int]]:
-    n = len(a)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]
-    reduced, pivots, _ = _eliminate(aug, q)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise SingularMatrixError("singular matrix")
-    return [row[n:] for row in reduced]

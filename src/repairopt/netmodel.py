@@ -212,6 +212,9 @@ def baseline_cost(spec: NetworkSpec) -> Fraction:
     return total
 
 
+TOPOLOGIES = ("tandem", "star", "grid", "complete")
+
+
 def _undirected_adjacency(kind: str, n: int, center: int | None,
                           rows: int | None, cols: int | None) -> set[frozenset[int]]:
     links: set[frozenset[int]] = set()
@@ -342,9 +345,9 @@ def respec_failure(spec: NetworkSpec, failed: int) -> NetworkSpec:
     overrides = {(i, j): c for (i, j) in spec.cost.edges()
                  if (c := spec.cost.cost(i, j)) != 1}
     return build_topology(
-        spec.kind, spec.n, k=spec.k, M=spec.M, alpha=spec.alpha, failed=failed,
-        center=spec.param("center"), rows=spec.param("rows"), cols=spec.param("cols"),
-        overrides=overrides)
+        spec.kind, spec.n, k=spec.k, M=spec.M, alpha=spec.alpha, d=spec.d,
+        failed=failed, center=spec.param("center"), rows=spec.param("rows"),
+        cols=spec.param("cols"), overrides=overrides)
 
 
 def spec_to_json(spec: NetworkSpec) -> dict:
@@ -358,10 +361,17 @@ def spec_to_json(spec: NetworkSpec) -> dict:
         "failed": spec.failed,
         "helpers": list(spec.helpers),
         "cost": spec.cost.to_rows(),
+        "kind": spec.kind,
+        "params": dict(spec.params),
     }
 
 
-def spec_from_json(doc: dict) -> NetworkSpec:
+def spec_from_json(doc) -> NetworkSpec:
+    """Read a document written by spec_to_json. Documents without "kind"
+    and "params" read as custom topologies. Any malformed document raises
+    TopologyError."""
+    if not isinstance(doc, dict):
+        raise TopologyError("network document must be a JSON object")
     try:
         n = int(doc["n"])
         rows = doc["cost"]
@@ -374,15 +384,28 @@ def spec_from_json(doc: dict) -> NetworkSpec:
                 if i == j or c is None:
                     continue
                 entries[(i, j)] = c
+        alpha, M = parse_rational(doc["alpha"]), parse_rational(doc["M"])
+        if alpha is None or M is None:
+            raise TopologyError("alpha and M must be finite")
+        kind = doc.get("kind", "custom")
+        if kind != "custom" and kind not in TOPOLOGIES:
+            raise TopologyError(f"unknown topology kind {kind!r}")
         return NetworkSpec(
             n=n,
             k=int(doc["k"]),
             d=int(doc["d"]),
-            alpha=parse_rational(doc["alpha"]),
-            M=parse_rational(doc["M"]),
+            alpha=alpha,
+            M=M,
             failed=int(doc["failed"]),
             helpers=tuple(int(h) for h in doc["helpers"]),
             cost=CostMatrix(n, entries),
+            kind=kind,
+            params=tuple((str(name), int(v))
+                         for name, v in dict(doc.get("params", {})).items()),
         )
     except KeyError as exc:
         raise TopologyError(f"network document missing field {exc}") from exc
+    except TopologyError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise TopologyError(f"malformed network document: {exc}") from exc

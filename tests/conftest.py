@@ -3,7 +3,7 @@ from functools import lru_cache
 import pytest
 
 from repairopt.fixtures import BUILDERS
-from repairopt.flowgraph import build_flow_graph, enumerate_cut_constraints
+from repairopt.flowgraph import repair_cuts
 from repairopt.lpcore import solve_min_cost
 
 
@@ -12,8 +12,7 @@ def solved_fixture(name):
     """(spec, constraint set, costs, solution) for a named fixture, cached
     so the suite solves each LP once."""
     spec = BUILDERS[name]()
-    cs = enumerate_cut_constraints(build_flow_graph(spec))
-    costs = [spec.cost.cost(i, j) for (i, j) in cs.edge_index]
+    cs, costs = repair_cuts(spec)
     return spec, cs, costs, solve_min_cost(cs, costs)
 
 

@@ -1,12 +1,14 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately share no code with the package: max-flow instead of
-cut enumeration, exhaustive path enumeration instead of Dijkstra, and an
-exhaustive grid search instead of the simplex.
+cut enumeration, exhaustive path enumeration instead of Dijkstra, an
+exhaustive grid search instead of the simplex, and the Leibniz formula
+instead of elimination.
 """
 
 from collections import deque
 from fractions import Fraction
+from itertools import permutations
 
 from repairopt.flowgraph import build_flow_graph
 
@@ -138,3 +140,16 @@ def brute_force_optimum(cs, costs, granularity: int = 1,
     if best[0] is None:
         raise OracleError("no feasible grid point within the cap")
     return best[0]
+
+
+def leibniz_det(m, q):
+    """Determinant over GF(q) as the signed sum over all permutations."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
+                         if perm[a] > perm[b])
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total % q

@@ -35,11 +35,7 @@ from repairopt.bounds import (
     star_lower_bound,
     tandem_lower_bound,
 )
-from repairopt.flowgraph import (
-    build_flow_graph,
-    check_feasible,
-    enumerate_cut_constraints,
-)
+from repairopt.flowgraph import check_feasible, repair_cuts
 from repairopt.fixtures import BUILDERS, PUBLISHED
 from repairopt.gfalg import smallest_prime_geq
 from repairopt.lpcore import solve_min_cost, verify_dual
@@ -151,7 +147,7 @@ def test_criterion_4_closed_forms():
                 continue
             M = Fraction(2 * k)
             spec = build_topology("tandem", n, k=k, M=M, failed=n)
-            sol = solve_min_cost(*_cs_costs(spec))
+            sol = solve_min_cost(*repair_cuts(spec))
             expected = tandem_lower_bound(k, M, spec.alpha)
             checks.append((f"tandem n={n} k={k}", sol.value == expected))
     star_cases = [(3, Fraction(6), Fraction(2), Fraction(14, 3)),
@@ -161,16 +157,11 @@ def test_criterion_4_closed_forms():
     for k, M, alpha, expected in star_cases:
         spec = build_topology("star", 6, k=k, M=M, alpha=alpha, center=2,
                               failed=1)
-        sol = solve_min_cost(*_cs_costs(spec))
+        sol = solve_min_cost(*repair_cuts(spec))
         formula = star_lower_bound(6, k, M, alpha)
         checks.append((f"star k={k} M={M}",
                        sol.value == formula == expected))
     report(4, checks)
-
-
-def _cs_costs(spec):
-    cs = enumerate_cut_constraints(build_flow_graph(spec))
-    return cs, [spec.cost.cost(i, j) for (i, j) in cs.edge_index]
 
 
 def test_criterion_5_code_achieves_optimum():

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from repairopt.cli import main
@@ -134,3 +135,63 @@ class TestFixtures:
         assert by_name["grid-2x3"]["lp"] == "20/3"
         assert by_name["grid-2x3"]["published"] == "7"
         assert all(r["ok"] for r in rows)
+
+
+# inline flags of networks whose spec documents must behave like them
+NETS = {
+    "tandem": TANDEM,
+    "star": ("--topology", "star", "--n", "6", "--k", "3", "--M", "6", "--alpha", "2",
+             "--center", "2", "--failed", "1"),
+    "grid": ("--topology", "grid", "--n", "6", "--k", "3", "--M", "6", "--alpha", "2",
+             "--rows", "2", "--cols", "3", "--failed", "6"),
+}
+
+
+class TestSpecRoundTrip:
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_bounds_and_simulate_match_inline(self, net, tmp_path):
+        assert run("topology", "gen", *NETS[net], "--out", str(tmp_path)).exit_code == 0
+        spec = ("--spec", str(tmp_path / "network.json"))
+        for command in (("bounds",), ("simulate", "--stages", "6", "--seed", "2")):
+            inline = run(*command, *NETS[net])
+            assert inline.exit_code == 0
+            through = run(*command, *spec)
+            assert (through.exit_code, through.output) == (0, inline.output)
+
+    @pytest.mark.parametrize("change", ["cost", "helpers", "list", "alpha"])
+    def test_malformed_document_is_a_usage_error(self, change, tmp_path):
+        doc = json.loads(run("topology", "gen", *TANDEM).output)
+        doc = {"cost": dict(doc, cost=5), "helpers": dict(doc, helpers=None),
+               "list": [doc], "alpha": dict(doc, alpha="inf")}[change]
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(doc))
+        result = run("solve", "--spec", str(path))
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output
+
+
+class TestSimulateHelpers:
+    def test_stages_plan_with_d_helpers(self):
+        flags = ("--topology", "complete", "--n", "5", "--k", "2", "--d", "3",
+                 "--M", "4", "--alpha", "2")
+        doc = json.loads(run("simulate", *flags, "--stages", "6", "--seed", "3").output)
+        for stage in doc["stages"]:
+            solved = run("solve", *flags, "--failed", str(stage["failed"]))
+            assert stage["lp_value"] == json.loads(solved.output)["value"]
+
+
+class TestCleanErrors:
+    BIG = ("--topology", "complete", "--n", "13", "--k", "3", "--M", "6", "--alpha", "2")
+
+    def usage_error(self, result, message):
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+
+    @pytest.mark.parametrize("command", ["constraints", "solve", "code"])
+    def test_enumeration_cap(self, command):
+        self.usage_error(run(command, *self.BIG), "cut enumeration is exponential")
+
+    def test_bounds_of_infeasible_lp(self):
+        starved = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",
+                   "--alpha", "1")
+        self.usage_error(run("bounds", *starved), "LP did not solve: infeasible")

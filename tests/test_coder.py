@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from repairopt import coder
+from repairopt.cli import main
 from repairopt.coder import (
+    CodeState,
     CoderError,
     PlanInfeasibleError,
     RepairPlan,
@@ -12,7 +15,6 @@ from repairopt.coder import (
     compute_n_nc,
     field_size_bound,
     init_code,
-    load_code,
     make_plan,
     regenerate,
     run_repair,
@@ -20,8 +22,6 @@ from repairopt.coder import (
     verify_rcp,
 )
 from repairopt.fixtures import BUILDERS, complete5_cost3, grid2x3, star6, tandem4
-from repairopt.flowgraph import build_flow_graph, enumerate_cut_constraints
-from repairopt.lpcore import solve_min_cost
 from repairopt.netmodel import build_topology
 
 # worked 4-node line example, coefficient order (a1, b1, a2, b2)
@@ -31,11 +31,11 @@ NODE3 = [(1, 1, 1, 1), (1, 2, 1, 2)]
 NODE4 = [(1, 2, 3, 1), (3, 2, 2, 3)]
 
 
-def solved_plan(spec):
-    cs = enumerate_cut_constraints(build_flow_graph(spec))
-    costs = [spec.cost.cost(i, j) for (i, j) in cs.edge_index]
-    sol = solve_min_cost(cs, costs)
-    return cs, sol, make_plan(spec, cs, sol)
+def code_state(q, k, node_columns):
+    """A CodeState over GF(q) from explicit per-node coefficient columns."""
+    cols = tuple(tuple(tuple(c) for c in node) for node in node_columns)
+    return CodeState(q=q, n=len(cols), k=k, M_s=len(cols[0][0]),
+                     alpha_s=len(cols[0]), scale=1, columns=cols)
 
 
 class TestEncodingDepth:
@@ -61,28 +61,26 @@ class TestEncodingDepth:
 class TestPlans:
     def test_tandem_plan(self):
         spec = tandem4()
-        _, sol, plan = solved_plan(spec)
+        plan = make_plan(spec)
         assert plan.scale == 1
         assert plan.counts == (0, 2, 2)
         assert plan.n_nc == 3
         assert plan.d0 == 72 and plan.q == 73
-        assert plan.achieved_cost(spec) == sol.value == 4
+        assert plan.achieved_cost(spec) == plan.lp_value == 4
 
     def test_grid_plan_scales_thirds(self):
         spec = grid2x3()
-        _, sol, plan = solved_plan(spec)
-        assert sol.value == Fraction(20, 3)
+        plan = make_plan(spec)
+        assert plan.lp_value == Fraction(20, 3)
         assert plan.scale == 3
         assert plan.achieved_cost(spec) == Fraction(20, 3)
         assert plan.q > plan.d0
 
     def test_plan_requires_optimal(self):
-        spec = tandem4()
-        cs, sol, _ = solved_plan(spec)
-        bad = sol.__class__(status="infeasible", value=sol.value,
-                            z_star=sol.z_star, dual=sol.dual, pivots=0)
-        with pytest.raises(CoderError):
-            make_plan(spec, cs, bad)
+        # alpha = 1 < M/k: no repair subgraph meets every cut
+        spec = build_topology("tandem", 4, k=2, M=4, alpha=1, failed=4)
+        with pytest.raises(CoderError, match="infeasible"):
+            make_plan(spec)
 
 
 class TestPlanCost:
@@ -98,26 +96,26 @@ class TestPlanCost:
     def test_fixture_scales_unchanged(self):
         assert set(self.FIXTURE_SCALES) == set(BUILDERS)
         for name, builder in BUILDERS.items():
-            _, _, plan = solved_plan(builder())
+            plan = make_plan(builder())
             assert plan.scale == self.FIXTURE_SCALES[name], name
 
     @pytest.mark.parametrize("failed", range(1, 10))
     def test_grid3x3_scale_not_above_reference(self, failed):
         spec = build_topology("grid", 9, k=4, M="8", alpha="2", rows=3,
                               cols=3, failed=failed)
-        _, _, plan = solved_plan(spec)
+        plan = make_plan(spec)
         assert plan.scale <= self.GRID3X3_MAX_SCALES[failed - 1]
 
 
 class TestVerifyRcp:
     def test_worked_initial_code(self):
-        state = load_code(11, 2, [NODE1, NODE2, NODE3, NODE4])
+        state = code_state(11, 2, [NODE1, NODE2, NODE3, NODE4])
         ok, witness = verify_rcp(state)
         assert ok and witness is None
 
     def test_worked_repair_large_field(self):
         new = [(5, 7, 8, 7), (6, 9, 6, 6)]
-        ok, _ = verify_rcp(load_code(11, 2, [NODE1, NODE2, NODE3, new]))
+        ok, _ = verify_rcp(code_state(11, 2, [NODE1, NODE2, NODE3, new]))
         assert ok
 
     def test_worked_repair_small_field_with_cooperation(self):
@@ -127,11 +125,11 @@ class TestVerifyRcp:
         new = [(2, 3, 3, 2), (3, 1, 3, 3)]
         nodes = [[[c % 5 for c in col] for col in node]
                  for node in (NODE1, NODE2, NODE3, new)]
-        ok, _ = verify_rcp(load_code(5, 2, nodes))
+        ok, _ = verify_rcp(code_state(5, 2, nodes))
         assert ok
 
     def test_detects_degenerate_subset(self):
-        state = load_code(11, 2, [NODE1, NODE1, NODE3, NODE4])
+        state = code_state(11, 2, [NODE1, NODE1, NODE3, NODE4])
         ok, witness = verify_rcp(state)
         assert not ok and witness == (1, 2)
 
@@ -159,7 +157,7 @@ class TestInitCode:
 class TestRegenerate:
     def test_plan_state_mismatches(self):
         spec = tandem4()
-        _, _, plan = solved_plan(spec)
+        plan = make_plan(spec)
         state, _ = init_code(spec, plan.q, seed=1)
         other = RepairPlan(edges=plan.edges, counts=plan.counts, scale=2,
                            new_node=plan.new_node, lp_value=plan.lp_value,
@@ -169,7 +167,7 @@ class TestRegenerate:
 
     def test_underfed_plan_rejected(self):
         spec = tandem4()
-        _, _, plan = solved_plan(spec)
+        plan = make_plan(spec)
         state, _ = init_code(spec, plan.q, seed=1)
         starved = RepairPlan(edges=plan.edges, counts=(0, 2, 1),
                              scale=1, new_node=plan.new_node,
@@ -213,3 +211,49 @@ class TestSimulation:
     def test_needs_a_stage(self):
         with pytest.raises(CoderError):
             simulate_stages(tandem4(), 0, seed=0)
+
+
+class TestRetryContract:
+    """regenerate redraws until verify_rcp passes, so no caller checks the
+    state it returns again."""
+
+    @staticmethod
+    def fail_after(monkeypatch, passes, failures):
+        """Let the first `passes` RCP checks run, fail the next `failures`."""
+        real, calls = coder.verify_rcp, []
+
+        def verify(state):
+            calls.append(state)
+            if passes < len(calls) <= passes + failures:
+                return False, (1, 2)
+            return real(state)
+
+        monkeypatch.setattr(coder, "verify_rcp", verify)
+        return calls
+
+    def test_regenerate_retries_until_rcp_holds(self, monkeypatch):
+        spec = tandem4()
+        plan = make_plan(spec)
+        state, _ = init_code(spec, plan.q, seed=1)
+        calls = self.fail_after(monkeypatch, 0, 2)
+        repaired, attempts = regenerate(state, spec, plan, seed=1)
+        assert attempts == 3 and len(calls) == 3
+        assert verify_rcp(repaired) == (True, None)
+
+    def test_regenerate_gives_up_after_retries(self, monkeypatch):
+        spec = tandem4()
+        plan = make_plan(spec)
+        state, _ = init_code(spec, plan.q, seed=1)
+        self.fail_after(monkeypatch, 0, 2)
+        with pytest.raises(RetryExhaustedError):
+            regenerate(state, spec, plan, seed=1, retries=2)
+
+    def test_code_exits_1_when_repair_retries_run_out(self, monkeypatch):
+        passes = run_repair(tandem4(), seed=5)["init_attempts"]
+        self.fail_after(monkeypatch, passes, 2)
+        result = CliRunner().invoke(main, [
+            "code", "--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",
+            "--alpha", "2", "--failed", "4", "--seed", "5", "--retries", "2"])
+        assert result.exit_code == 1
+        assert "repair failed RCP in 2 attempts" in result.stderr
+        assert result.stdout == ""

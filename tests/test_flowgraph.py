@@ -9,6 +9,7 @@ from repairopt.flowgraph import (
     build_flow_graph,
     check_feasible,
     enumerate_cut_constraints,
+    repair_cuts,
 )
 from repairopt.fixtures import BUILDERS, complete5_unit, grid2x3, star6, tandem4
 from repairopt.lpcore import solve_min_cost
@@ -163,15 +164,11 @@ class TestProperties:
     def test_monotonicity_adding_links(self):
         """Opening an extra link can only keep or lower the optimum."""
         full = complete5_unit()
-        cs_full = enumerate_cut_constraints(build_flow_graph(full))
-        costs = [full.cost.cost(i, j) for (i, j) in cs_full.edge_index]
-        lp_full = solve_min_cost(cs_full, costs).value
+        lp_full = solve_min_cost(*repair_cuts(full)).value
 
         entries = {e: Fraction(1) for e in full.cost.edges() if e != (1, 2)}
         pruned = NetworkSpec(n=5, k=3, d=4, alpha=Fraction(2), M=Fraction(6),
                              failed=5, helpers=(1, 2, 3, 4),
                              cost=CostMatrix(5, entries))
-        cs_pruned = enumerate_cut_constraints(build_flow_graph(pruned))
-        costs_p = [pruned.cost.cost(i, j) for (i, j) in cs_pruned.edge_index]
-        lp_pruned = solve_min_cost(cs_pruned, costs_p).value
+        lp_pruned = solve_min_cost(*repair_cuts(pruned)).value
         assert lp_full <= lp_pruned

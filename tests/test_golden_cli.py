@@ -1,0 +1,101 @@
+"""Golden outputs: sha256 of CLI stdout plus the exit code, per invocation,
+and of the coefficients a seeded repair produces.
+
+The digests pin seeded reproducibility (`code`, `simulate`, `regenerate`),
+the fixture tables and the help text byte for byte. A change in the order
+in which the coder draws its random coefficients, or in how options are
+declared, shows up here even when every answer stays correct: the CLI
+reports show only attempt counts, so the coefficient digests catch a
+reordering that keeps the number of draws.
+
+To re-record after an intended output change, print `observed(...)` and
+`repaired_digest(...)` for every case and paste the results over the
+tables.
+"""
+
+import hashlib
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from repairopt.cli import main
+from repairopt.coder import init_code, make_plan, regenerate
+from repairopt.fixtures import BUILDERS
+from repairopt.netmodel import spec_to_json
+
+# argv per case; "@name" stands for the path of fixture `name` written by
+# spec_to_json
+CASES = {
+    **{f"code-{name}-seed{seed}": ("code", "--spec", f"@{name}", "--seed", str(seed))
+       for name in sorted(BUILDERS) for seed in (0, 7)},
+    "simulate-grid-2x3-k3-seed1": (
+        "simulate", "--topology", "grid", "--n", "6", "--k", "3", "--M", "6",
+        "--alpha", "2", "--rows", "2", "--cols", "3", "--failed", "6",
+        "--stages", "10", "--seed", "1"),
+    "fixtures-text": ("fixtures",),
+    "fixtures-csv": ("fixtures", "--format", "csv"),
+    "fixtures-json": ("fixtures", "--format", "json"),
+    "solve-help": ("solve", "--help"),
+}
+
+DIGESTS = {
+    "code-complete-n5-cost3-seed0": ("efaec4b6832561276be9cee162833c73a95650bce36fc8a28205c803e91b7692", 0),
+    "code-complete-n5-cost3-seed7": ("9e7d7d01bf11cc8b1c1e27ec88df296c24dbd4be4c331e97209a1da7a60d7933", 0),
+    "code-complete-n5-unit-seed0": ("717b6ec72fb9064e11f572b4c2a40739311875b0c97f9c66c3e972fdec76ddcd", 0),
+    "code-complete-n5-unit-seed7": ("ad914f9821e55150bac146872e6f539c0233f0db2fa8c8c190093852935baaf8", 0),
+    "code-grid-2x3-seed0": ("af3b3b743c7e3586a31b843e6420e8fc7dbcf045bd0f6126e40bd2d1ad59c8e2", 0),
+    "code-grid-2x3-seed7": ("9c14ba3c15546d9e4ae2ce47f5bf71b68a536ba09b4cce114d9989789666b32c", 0),
+    "code-star-n6-M9-seed0": ("109c3b2a39df4836e11627c4fb3014d340af7ad78164ce430b45bd51498c9fe1", 0),
+    "code-star-n6-M9-seed7": ("30c77986e98bac757dea0930b26589411f1eca39a9e31b6b81c1f967de42fbd1", 0),
+    "code-star-n6-seed0": ("e38c4e06784f730cf2422f0a3d5e48af9c2f10446f75751f432097cee9ae806b", 0),
+    "code-star-n6-seed7": ("b51cd765ba933c64f0199ab144b9ca84439d4ffe86372ded64fbd3c6927e9963", 0),
+    "code-tandem-n4-seed0": ("a483e68aee4e664aeaabc755388c7a7c3bd02fcc3bdba8a1f73a17744da76ad8", 0),
+    "code-tandem-n4-seed7": ("c0c73182870ef926d6a7e5b4eea959551c2975b3c4a5812878c6f6b38cc000b3", 0),
+    "fixtures-csv": ("0d511ba1740bf112c2e364ba56a741dac74464eb005bdd55000232335c68999e", 0),
+    "fixtures-json": ("e897ff95771e48ead8463948486e5856228c3364a8d3df234428f7c24af9e734", 0),
+    "fixtures-text": ("cd03ad6d45ff1549b4204e19a4812c71086b974ca95edffbbbc19255036c2cd1", 0),
+    "simulate-grid-2x3-k3-seed1": ("e92f92470c62c433fb005fba36e7442e1d26bc6cacb0a6671bf00917bf98ae9d", 0),
+    "solve-help": ("aea02a3c25eea5834c33f220c06c2e689a648b9fdc2dae34179932e55bd096e6", 0),
+}
+
+
+def observed(argv, tmp_path) -> tuple[str, int]:
+    args = []
+    for arg in argv:
+        if arg.startswith("@"):
+            path = tmp_path / f"{arg[1:]}.json"
+            path.write_text(json.dumps(spec_to_json(BUILDERS[arg[1:]]())))
+            arg = str(path)
+        args.append(arg)
+    result = CliRunner().invoke(main, args, env={"REPAIROPT_SEED": None})
+    return hashlib.sha256(result.stdout.encode()).hexdigest(), result.exit_code
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_and_exit_code_unchanged(case, tmp_path):
+    assert observed(CASES[case], tmp_path) == DIGESTS[case]
+
+
+# fixture -> repaired code state after init_code and regenerate at seed 7
+REPAIRED = {
+    "complete-n5-cost3": "940da32911c34333eea9e26dc907201352358e3101203b04b1d55bb8f537257b",
+    "complete-n5-unit": "e911910c7ed7eb7d0be41f0051bb929c921b40979213267779f5755bf4b4d7af",
+    "grid-2x3": "0b7ee51d077e009b65bc555b0fb0a9eb90c72e2b35a4ffc30273973c59206702",
+    "star-n6": "9cbf78947f6e6cbf1b034ce63380050d8fc16b33cf2b27d499995f50bb64663e",
+    "star-n6-M9": "7568e21ded16ea756c4517df48503c1f43a301edeb2e74efd782bf5d240b22fc",
+    "tandem-n4": "1cbca28bab3ed333c27a627d7c22981b6644122a1aac5d8ae36677f5be35a6d9",
+}
+
+
+def repaired_digest(name) -> str:
+    spec = BUILDERS[name]()
+    plan = make_plan(spec)
+    state, _ = init_code(spec, plan.q, seed=7, scale=plan.scale)
+    repaired, _ = regenerate(state, spec, plan, seed=7)
+    return hashlib.sha256(repr(repaired.columns).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_repaired_coefficients_unchanged(name):
+    assert repaired_digest(name) == REPAIRED[name]

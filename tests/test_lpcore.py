@@ -7,12 +7,7 @@ from oracles import OracleError, brute_force_optimum
 
 from repairopt import lpcore
 from repairopt.fixtures import BUILDERS
-from repairopt.flowgraph import (
-    ConstraintSet,
-    build_flow_graph,
-    check_feasible,
-    enumerate_cut_constraints,
-)
+from repairopt.flowgraph import ConstraintSet, check_feasible, repair_cuts
 from repairopt.lpcore import LPError, solve_min_cost, verify_dual
 from repairopt.netmodel import build_topology
 
@@ -135,8 +130,7 @@ class TestScaleLadder:
         kind, n, failed, shape = net
         spec = build_topology(kind, n, failed=failed, M=str(2 * shape["k"]),
                               alpha="2", **shape)
-        cs = enumerate_cut_constraints(build_flow_graph(spec))
-        costs = [spec.cost.cost(i, j) for (i, j) in cs.edge_index]
+        cs, costs = repair_cuts(spec)
         sol = solve_min_cost(cs, costs)
         assert sol.status == "optimal"
         assert sol.value == value

@@ -210,6 +210,28 @@ class TestRespecAndJson:
         assert back.alpha == spec.alpha and back.M == spec.M
         assert back.failed == spec.failed and back.helpers == spec.helpers
         assert back.cost == spec.cost
+        assert back.kind == "grid" and back.params == (("rows", 2), ("cols", 3))
+        assert back == spec
+
+    def test_json_without_kind_reads_as_custom(self):
+        doc = spec_to_json(build_topology("star", 5, k=2, M=4, center=2, failed=1))
+        del doc["kind"], doc["params"]
+        back = spec_from_json(doc)
+        assert back.kind == "custom" and back.params == ()
+        assert back.cost.cost(2, 1) == 1 and back.helpers == (2, 3, 4, 5)
+
+    @pytest.mark.parametrize("change", [
+        {"cost": 5}, {"helpers": None}, {"alpha": "inf"}, {"n": None},
+        {"params": [1]}, {"kind": "ring"}])
+    def test_json_malformed_field(self, change):
+        doc = spec_to_json(build_topology("tandem", 4, k=2, M=4, failed=4))
+        with pytest.raises(TopologyError):
+            spec_from_json({**doc, **change})
+
+    def test_json_not_an_object(self):
+        doc = spec_to_json(build_topology("tandem", 4, k=2, M=4, failed=4))
+        with pytest.raises(TopologyError):
+            spec_from_json([doc])
 
     def test_json_missing_field(self):
         with pytest.raises(TopologyError):
