@@ -60,6 +60,17 @@ def _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, col
         raise click.UsageError(str(exc))
 
 
+def _echo(text: str, err: bool = False) -> None:
+    """Print a line to the current stdout, or stderr with err=True.
+
+    The stream is passed explicitly: click.echo without `file` caches its
+    default stream in a WeakKeyDictionary whose value is the key itself,
+    so a stream substituted for stdout (as click's CliRunner does for each
+    in-process invocation) would never be freed, with all of its output.
+    """
+    click.echo(text, file=sys.stderr if err else sys.stdout)
+
+
 def _emit(payload, fmt: str, out: str | None, filename: str):
     if fmt == "json":
         text = json.dumps(payload, indent=2)
@@ -74,9 +85,9 @@ def _emit(payload, fmt: str, out: str | None, filename: str):
         tmp = path.with_suffix(path.suffix + ".tmp")
         tmp.write_text(text + "\n")
         tmp.replace(path)
-        click.echo(str(path))
+        _echo(str(path))
     else:
-        click.echo(text)
+        _echo(text)
 
 
 def _coded(what: str, run, *args, **kwargs):
@@ -84,7 +95,7 @@ def _coded(what: str, run, *args, **kwargs):
     try:
         return run(*args, **kwargs)
     except coder.CoderError as exc:
-        click.echo(f"{what} failed: {exc}", err=True)
+        _echo(f"{what} failed: {exc}", err=True)
         sys.exit(1)
 
 
@@ -273,7 +284,7 @@ def verify(spec, z_text):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     cost = sum(c * v for c, v in zip(costs, z))
-    click.echo(json.dumps({
+    _echo(json.dumps({
         "feasible": feasible,
         "cost": format_rational(cost),
         "edge_index": [f"{i}->{j}" for (i, j) in cs.edge_index],
@@ -288,7 +299,7 @@ def fixtures_cmd(fmt):
     """Run the built-in fixture suite and print a pass/fail table."""
     rows = fixtures.run_fixture_suite()
     if fmt == "json":
-        click.echo(json.dumps([
+        _echo(json.dumps([
             {"name": r.name, "lp": format_rational(r.lp_value),
              "expected": format_rational(r.expected_lp),
              "published": format_rational(r.published_lp),
@@ -308,13 +319,13 @@ def fixtures_cmd(fmt):
                           format_rational(r.gain), "PASS" if r.ok else "FAIL"])
         if fmt == "text":
             fmt_row = lambda cells: sep.join(c.ljust(w) for c, w in zip(cells, widths))
-            click.echo(fmt_row(header))
+            _echo(fmt_row(header))
             for line in lines:
-                click.echo(fmt_row(line))
+                _echo(fmt_row(line))
         else:
-            click.echo(sep.join(header))
+            _echo(sep.join(header))
             for line in lines:
-                click.echo(sep.join(line))
+                _echo(sep.join(line))
     if not all(r.ok for r in rows):
         sys.exit(1)
 

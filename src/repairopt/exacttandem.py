@@ -34,9 +34,6 @@ class VandermondeCode:
         a = self.points[t - 1]
         return sum(m * pow(a, e, self.q) for e, m in enumerate(self.message)) % self.q
 
-    def generator_matrix(self) -> list[list[int]]:
-        return [[pow(a, e, self.q) for a in self.points] for e in range(self.k)]
-
 
 def init_vandermonde(n: int, k: int, q: int, *, points=None, message=None,
                      seed=None) -> VandermondeCode:

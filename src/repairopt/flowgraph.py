@@ -10,6 +10,7 @@ produces the linear constraint region the repair subgraph must satisfy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -98,61 +99,75 @@ def check_feasible(cs: ConstraintSet, z) -> bool:
 
 
 def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> ConstraintSet:
-    """Enumerate every source/DC vertex partition for every (k-1)-subset of
-    helpers and emit its cut inequality.
+    """Enumerate the source/DC vertex partitions, for every (k-1)-subset
+    of helpers, whose cut inequality has a positive right-hand side.
 
     For a chosen subset K the DC side always contains out_nu and out_K;
-    the remaining out vertices and in_nu vary freely. Infinite edges
-    (source attachments) pin all in vertices of survivors to the source
-    side. Each cut yields sum(crossing z) >= M - alpha * (crossing
-    storage edges). Duplicate rows and rows with nonpositive rhs are
-    always dropped (they constrain nothing); reduce=True additionally
-    removes dominated rows.
+    a set T of the other survivors' out vertices and in_nu may join it.
+    Infinite edges (source attachments) pin all in vertices of survivors
+    to the source side. A cut crossing c = (k-1) + |T| + [in_nu on the
+    source side] storage edges yields sum(crossing z) >= M - alpha * c,
+    which constrains nothing unless c <= c_max = ceil(M/alpha) - 1. Only
+    those partitions are visited: C(d, k-1) * sum_{s <= c_max-k+1}
+    C(n-k, s) sets T, one per K at the minimum-storage point.
+
+    Rows are integer masks whose bits follow the edge order, so masks
+    compare as the row tuples do: a crossing set is the head mask of the
+    DC side with its tail mask cleared. Duplicates are dropped; reduce=True
+    additionally removes dominated rows. Rows and rhs become tuples and
+    Fractions only on output.
     """
     spec = fg.spec
     if spec.n > 12:
         raise FlowGraphError("cut enumeration is exponential; capped at n <= 12")
     nu = spec.failed
-    edge_pos = {e: idx for idx, e in enumerate(fg.edge_index)}
-    survivors = spec.survivors
-    rows: set[tuple[tuple[int, ...], Fraction]] = set()
+    m = len(fg.edge_index)
+    # masks of the edges out_i -> out_v into and out of each survivor v,
+    # and of the edges into in_nu; edge idx is bit m-1-idx
+    head = dict.fromkeys(spec.survivors, 0)
+    tail = dict.fromkeys(spec.survivors, 0)
+    into_nu = 0
+    for idx, (i, j) in enumerate(fg.edge_index):
+        bit = 1 << (m - 1 - idx)
+        tail[i] |= bit
+        if j == nu:
+            into_nu |= bit
+        else:
+            head[j] |= bit
+    c_max = math.ceil(spec.M / spec.alpha) - 1
+    free = c_max - (spec.k - 1)  # storage edges left for T and in_nu
+    rows: set[tuple[int, int]] = set()  # (crossing mask, storage edges c)
 
     for K in combinations(spec.helpers, spec.k - 1):
-        kset = set(K)
-        others = [s for s in survivors if s not in kset]
-        for mask in range(1 << len(others)):
-            T = {others[t] for t in range(len(others)) if mask >> t & 1}
-            dc_outs = kset | T
-            for nu_in_on_dc_side in (False, True):
-                alpha_edges = len(dc_outs) + (0 if nu_in_on_dc_side else 1)
-                coeffs = [0] * len(fg.edge_index)
-                for (i, j), idx in edge_pos.items():
-                    tail_on_dc = i in dc_outs
-                    head_on_dc = nu_in_on_dc_side if j == nu else j in dc_outs
-                    if head_on_dc and not tail_on_dc:
-                        coeffs[idx] = 1
-                b = spec.M - spec.alpha * alpha_edges
-                rows.add((tuple(coeffs), b))
+        k_head = k_tail = 0
+        for v in K:
+            k_head |= head[v]
+            k_tail |= tail[v]
+        others = [s for s in spec.survivors if s not in K]
+        for size in range(min(free, len(others)) + 1):
+            c = spec.k - 1 + size
+            for T in combinations(others, size):
+                h, t = k_head, k_tail
+                for v in T:
+                    h |= head[v]
+                    t |= tail[v]
+                rows.add(((h | into_nu) & ~t, c))  # in_nu on the DC side
+                if c < c_max:
+                    rows.add((h & ~t, c + 1))  # in_nu on the source side
 
-    ordered = [(r, b) for (r, b) in sorted(rows) if b > 0]
+    # mask order is row-tuple order; for one mask, fewer storage edges
+    # means a larger rhs, which sorts last
+    ordered = sorted(rows, key=lambda row: (row[0], -row[1]))
     if reduce:
-        kept: list[tuple[tuple[int, ...], Fraction]] = []
-        for r, b in ordered:
-            dominated = False
-            for r2, b2 in ordered:
-                if (r2, b2) == (r, b):
-                    continue
-                # (r2, b2) implies (r, b) when r2 <= r elementwise and b2 >= b
-                if b2 >= b and all(x2 <= x for x2, x in zip(r2, r)):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append((r, b))
-        ordered = kept
+        # (r2, c2) implies (r, c) when r2 is a submask of r and c2 <= c
+        ordered = [(r, c) for r, c in ordered
+                   if not any(r2 & ~r == 0 and c2 <= c and (r2, c2) != (r, c)
+                              for r2, c2 in ordered)]
+    shifts = range(m - 1, -1, -1)
     return ConstraintSet(
         edge_index=fg.edge_index,
-        rows=tuple(r for r, _ in ordered),
-        rhs=tuple(b for _, b in ordered),
+        rows=tuple(tuple(r >> s & 1 for s in shifts) for r, _ in ordered),
+        rhs=tuple(spec.M - spec.alpha * c for _, c in ordered),
     )
 
 

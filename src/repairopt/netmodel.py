@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -97,9 +97,6 @@ class CostMatrix:
 
     def successors(self, i: int) -> list[int]:
         return [j for (a, j) in self._cost if a == i]
-
-    def predecessors(self, j: int) -> list[int]:
-        return [i for (i, b) in self._cost if b == j]
 
     def to_rows(self) -> list[list[str]]:
         """n x n rows with "0" diagonal and "inf" for absent links."""
@@ -308,28 +305,58 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
     helpers = tuple(helpers)
     d = len(helpers) if d is None else d
 
-    params: list[tuple[str, int]] = []
     if kind == "custom":
         if cost_matrix is None:
             raise TopologyError("custom topology needs an explicit cost matrix")
-        cm = cost_matrix
+        cm, params = cost_matrix, ()
     else:
-        links = _undirected_adjacency(kind, n, center, rows, cols)
-        oriented = _orient_toward(links, n, failed)
-        entries: dict[tuple[int, int], Fraction] = {}
-        for (i, j) in oriented:
-            c = Fraction(1)
-            if overrides:
-                c = overrides.get((i, j), overrides.get((j, i), c))
-            entries[(i, j)] = Fraction(c)
-        cm = CostMatrix(n, entries)
-        if kind == "star":
-            params.append(("center", center))
-        if kind == "grid":
-            params.extend([("rows", rows), ("cols", cols)])
+        cm = _generated_cost(kind, n, failed, center, rows, cols, overrides)
+        params = _shape_params(kind, center, rows, cols)
 
     return NetworkSpec(n=n, k=k, d=d, alpha=alpha, M=M, failed=failed,
-                       helpers=helpers, cost=cm, kind=kind, params=tuple(params))
+                       helpers=helpers, cost=cm, kind=kind, params=params)
+
+
+def _generated_cost(kind: str, n: int, failed: int, center: int | None,
+                    rows: int | None, cols: int | None,
+                    overrides: dict[tuple[int, int], Fraction] | None) -> CostMatrix:
+    """The cost matrix of a canonical topology oriented toward `failed`."""
+    entries: dict[tuple[int, int], Fraction] = {}
+    for (i, j) in _orient_toward(_undirected_adjacency(kind, n, center, rows, cols),
+                                 n, failed):
+        c = Fraction(1)
+        if overrides:
+            c = overrides.get((i, j), overrides.get((j, i), c))
+        entries[(i, j)] = Fraction(c)
+    return CostMatrix(n, entries)
+
+
+def _shape_params(kind: str, center: int | None, rows: int | None,
+                  cols: int | None) -> tuple[tuple[str, int], ...]:
+    if kind == "star":
+        return (("center", center),)
+    if kind == "grid":
+        return (("rows", rows), ("cols", cols))
+    return ()
+
+
+def _cost_overrides(cost: CostMatrix) -> dict[tuple[int, int], Fraction]:
+    """The links whose cost differs from the generated unit cost."""
+    return {(i, j): c for (i, j) in cost.edges() if (c := cost.cost(i, j)) != 1}
+
+
+def _kind_matches(spec: NetworkSpec) -> bool:
+    """Whether the spec's kind and params, with its non-unit link costs as
+    overrides, generate exactly its cost matrix."""
+    center, rows, cols = (spec.param(name) for name in ("center", "rows", "cols"))
+    if dict(spec.params) != dict(_shape_params(spec.kind, center, rows, cols)):
+        return False
+    try:
+        cost = _generated_cost(spec.kind, spec.n, spec.failed, center, rows, cols,
+                               _cost_overrides(spec.cost))
+    except TopologyError:
+        return False
+    return cost == spec.cost
 
 
 def respec_failure(spec: NetworkSpec, failed: int) -> NetworkSpec:
@@ -342,12 +369,10 @@ def respec_failure(spec: NetworkSpec, failed: int) -> NetworkSpec:
         if failed != spec.failed:
             raise TopologyError("cannot re-derive a custom topology for a new failure")
         return spec
-    overrides = {(i, j): c for (i, j) in spec.cost.edges()
-                 if (c := spec.cost.cost(i, j)) != 1}
     return build_topology(
         spec.kind, spec.n, k=spec.k, M=spec.M, alpha=spec.alpha, d=spec.d,
         failed=failed, center=spec.param("center"), rows=spec.param("rows"),
-        cols=spec.param("cols"), overrides=overrides)
+        cols=spec.param("cols"), overrides=_cost_overrides(spec.cost))
 
 
 def spec_to_json(spec: NetworkSpec) -> dict:
@@ -368,8 +393,9 @@ def spec_to_json(spec: NetworkSpec) -> dict:
 
 def spec_from_json(doc) -> NetworkSpec:
     """Read a document written by spec_to_json. Documents without "kind"
-    and "params" read as custom topologies. Any malformed document raises
-    TopologyError."""
+    and "params", and documents whose kind and params do not generate
+    their cost matrix (say, after a link was added by hand), read as
+    custom topologies. Any malformed document raises TopologyError."""
     if not isinstance(doc, dict):
         raise TopologyError("network document must be a JSON object")
     try:
@@ -390,7 +416,7 @@ def spec_from_json(doc) -> NetworkSpec:
         kind = doc.get("kind", "custom")
         if kind != "custom" and kind not in TOPOLOGIES:
             raise TopologyError(f"unknown topology kind {kind!r}")
-        return NetworkSpec(
+        spec = NetworkSpec(
             n=n,
             k=int(doc["k"]),
             d=int(doc["d"]),
@@ -403,6 +429,9 @@ def spec_from_json(doc) -> NetworkSpec:
             params=tuple((str(name), int(v))
                          for name, v in dict(doc.get("params", {})).items()),
         )
+        if spec.kind != "custom" and not _kind_matches(spec):
+            spec = replace(spec, kind="custom", params=())
+        return spec
     except KeyError as exc:
         raise TopologyError(f"network document missing field {exc}") from exc
     except TopologyError:

@@ -4,11 +4,16 @@ These deliberately share no code with the package: max-flow instead of
 cut enumeration, exhaustive path enumeration instead of Dijkstra, an
 exhaustive grid search instead of the simplex, and the Leibniz formula
 instead of elimination.
+
+Two of them are earlier versions of package code, kept as references for
+its faster replacements: the cut enumerator that walks every vertex
+partition and every edge, and the Fraction-tableau dual simplex. The
+package's results must equal theirs exactly.
 """
 
 from collections import deque
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from repairopt.flowgraph import build_flow_graph
 
@@ -153,3 +158,104 @@ def leibniz_det(m, q):
             term *= m[row][col]
         total += term
     return total % q
+
+
+def reference_cuts(fg):
+    """(rows, rhs) of the cut inequalities with a positive rhs, over every
+    source/DC vertex partition, one partition and one edge at a time: the
+    package's cut enumerator before rhs pruning and integer masks, without
+    its dominance reduction (reference_reduce)."""
+    spec = fg.spec
+    nu = spec.failed
+    edge_pos = {e: idx for idx, e in enumerate(fg.edge_index)}
+    # the rhs of a cut crossing c storage edges, c <= n
+    rhs = [spec.M - spec.alpha * c for c in range(spec.n + 1)]
+    rows = set()
+    for K in combinations(spec.helpers, spec.k - 1):
+        kset = set(K)
+        others = [s for s in spec.survivors if s not in kset]
+        for mask in range(1 << len(others)):
+            dc_outs = kset | {others[t] for t in range(len(others)) if mask >> t & 1}
+            for nu_in_on_dc_side in (False, True):
+                alpha_edges = len(dc_outs) + (0 if nu_in_on_dc_side else 1)
+                coeffs = [0] * len(fg.edge_index)
+                for (i, j), idx in edge_pos.items():
+                    tail_on_dc = i in dc_outs
+                    head_on_dc = nu_in_on_dc_side if j == nu else j in dc_outs
+                    if head_on_dc and not tail_on_dc:
+                        coeffs[idx] = 1
+                rows.add((tuple(coeffs), rhs[alpha_edges]))
+    ordered = [(r, b) for (r, b) in sorted(rows) if b > 0]
+    return tuple(r for r, _ in ordered), tuple(b for _, b in ordered)
+
+
+def reference_reduce(rows, rhs):
+    """(rows, rhs) without the rows another row implies: (r2, b2) implies
+    (r, b) when r2 <= r elementwise and b2 >= b."""
+    pairs = list(zip(rows, rhs))
+    kept = []
+    for r, b in pairs:
+        dominated = False
+        for r2, b2 in pairs:
+            if (r2, b2) == (r, b):
+                continue
+            if b2 >= b and all(x2 <= x for x2, x in zip(r2, r)):
+                dominated = True
+                break
+        if not dominated:
+            kept.append((r, b))
+    return tuple(r for r, _ in kept), tuple(b for _, b in kept)
+
+
+def reference_dual_simplex(rows, rhs, costs, degenerate_run_per_row=1):
+    """(status, value, z, dual, pivots) of min c.z s.t. rows.z >= rhs,
+    z >= 0: the package's dual simplex on a Fraction tableau, from the
+    slack basis, with the same leaving, entering and anti-cycling rules."""
+    m = len(costs)
+    costs = [Fraction(c) for c in costs]
+    r = len(rows)
+    if r == 0:
+        return "optimal", Fraction(0), (Fraction(0),) * m, (), 0
+    tab = [[-c for c in row] + [int(k == i) for k in range(r)]
+           for i, row in enumerate(rows)]
+    beta = [-Fraction(b) for b in rhs]
+    basis = list(range(m, m + r))
+    cbar = costs + [Fraction(0)] * r
+    pivots = degenerate = 0
+    while True:
+        short = [i for i in range(r) if beta[i] < 0]
+        if not short:
+            break
+        bland = degenerate >= degenerate_run_per_row * r
+        leave = min(short, key=(basis if bland else beta).__getitem__)
+        enter = best = None
+        for j, a in enumerate(tab[leave]):
+            if a < 0:
+                ratio = cbar[j] / -a
+                if best is None or ratio < best or (ratio == best and not bland):
+                    enter, best = j, ratio
+        if enter is None:
+            return "infeasible", Fraction(0), (), (), pivots
+        degenerate = degenerate + 1 if best == 0 else 0
+        inv = 1 / Fraction(tab[leave][enter])
+        prow = tab[leave] = [x * inv for x in tab[leave]]
+        beta[leave] *= inv
+        nonzero = [(j, x) for j, x in enumerate(prow) if x]
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if f and i != leave:
+                for j, x in nonzero:
+                    row[j] -= f * x
+                beta[i] -= f * beta[leave]
+        f = cbar[enter]
+        if f:
+            for j, x in nonzero:
+                cbar[j] -= f * x
+        basis[leave] = enter
+        pivots += 1
+    z = [Fraction(0)] * m
+    for i, bi in enumerate(basis):
+        if bi < m:
+            z[bi] = beta[i]
+    value = sum(c * v for c, v in zip(costs, z))
+    return "optimal", value, tuple(z), tuple(cbar[m:]), pivots

@@ -1,5 +1,7 @@
+import gc
 import json
 
+import click.testing
 import pytest
 from click.testing import CliRunner
 
@@ -42,6 +44,22 @@ class TestConstraints:
         assert len(reduced["L"]) == 2
         assert len(raw["L"]) == 3
         assert reduced["b"] == ["2", "2"]
+
+
+class TestOutputStreams:
+    def test_invocations_free_their_output(self):
+        """Each in-process invocation's captured stdout is freed after it:
+        none of the command's writes keeps its stream alive."""
+        def alive():
+            gc.collect()
+            return sum(isinstance(obj, click.testing._NamedTextIOWrapper)
+                       for obj in gc.get_objects())
+
+        before = alive()
+        runner = CliRunner()
+        for _ in range(50):
+            assert runner.invoke(main, ["constraints", *TANDEM]).exit_code == 0
+        assert alive() - before <= 5
 
 
 class TestSolve:
@@ -157,6 +175,19 @@ class TestSpecRoundTrip:
             assert inline.exit_code == 0
             through = run(*command, *spec)
             assert (through.exit_code, through.output) == (0, inline.output)
+
+    def test_hand_added_link_is_not_a_tandem(self, tmp_path):
+        doc = json.loads(run("topology", "gen", *TANDEM).output)
+        doc["cost"][0][3] = "1"        # a direct link 1 -> 4
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(doc))
+        result = run("bounds", "--spec", str(path))
+        assert result.exit_code == 0
+        header, row = result.output.strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["topology"] == "custom"
+        assert cells["closed_form"] == "" and cells["gain_paper"] == ""
+        assert cells["baseline"] == "4"
 
     @pytest.mark.parametrize("change", ["cost", "helpers", "list", "alpha"])
     def test_malformed_document_is_a_usage_error(self, change, tmp_path):

@@ -25,7 +25,11 @@ class TestInit:
 
     def test_generator_is_mds(self):
         code = init_vandermonde(6, 3, 7, seed=1)
-        g = code.generator_matrix()
+        # row e holds point^e for every node: node t stores message . column t
+        g = [[pow(a, e, code.q) for a in code.points] for e in range(code.k)]
+        assert [code.stored_symbol(t) for t in range(1, 7)] == \
+            [sum(m * g[e][t] for e, m in enumerate(code.message)) % code.q
+             for t in range(6)]
         for cols in combinations(range(6), 3):
             block = [[g[r][c] for c in cols] for r in range(3)]
             assert mat_rank(block, 7) == 3

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from repairopt.fixtures import BUILDERS
 from repairopt.netmodel import (
     CostMatrix,
     NetworkSpec,
@@ -65,7 +66,7 @@ class TestCostMatrix:
         cm = CostMatrix(4, {(1, 2): Fraction(1), (3, 2): Fraction(1),
                             (2, 4): Fraction(1)})
         assert cm.successors(2) == [4]
-        assert sorted(cm.predecessors(2)) == [1, 3]
+        assert sorted(i for (i, j) in cm.edges() if j == 2) == [1, 3]
 
     def test_to_rows_uses_inf(self):
         cm = CostMatrix(2, {(1, 2): Fraction(1, 2)})
@@ -219,6 +220,38 @@ class TestRespecAndJson:
         back = spec_from_json(doc)
         assert back.kind == "custom" and back.params == ()
         assert back.cost.cost(2, 1) == 1 and back.helpers == (2, 3, 4, 5)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_json_keeps_kind_of_every_fixture(self, name):
+        # non-unit link costs (complete-n5-cost3) carry over as overrides
+        spec = BUILDERS[name]()
+        assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+    @pytest.mark.parametrize("edit", ["added link", "flipped link", "dropped link",
+                                      "wrong center", "extra param", "no params"])
+    def test_json_whose_kind_does_not_generate_its_costs_reads_as_custom(self, edit):
+        if edit == "flipped link":
+            spec = build_topology("grid", 6, k=3, M=6, rows=2, cols=3, failed=6)
+        else:
+            spec = build_topology("star", 5, k=2, M=4, center=2, failed=1)
+        doc = spec_to_json(spec)
+        cost = doc["cost"]
+        if edit == "added link":
+            cost[2][0] = "1"           # 3 -> 1 besides 3 -> 2 -> 1
+        elif edit == "flipped link":
+            cost[2][1], cost[1][2] = "1", "inf"    # 2 -> 3 becomes 3 -> 2
+        elif edit == "dropped link":
+            cost[4][1] = "inf"         # 5 -> 2 removed; 5 cannot help
+            doc.update(d=3, helpers=[2, 3, 4])
+        elif edit == "wrong center":
+            doc["params"] = {"center": 3}
+        elif edit == "extra param":
+            doc["params"] = {"center": 2, "rows": 1}
+        else:
+            del doc["params"]
+        back = spec_from_json(doc)
+        assert back.kind == "custom" and back.params == ()
+        assert back.cost.to_rows() == cost
 
     @pytest.mark.parametrize("change", [
         {"cost": 5}, {"helpers": None}, {"alpha": "inf"}, {"n": None},

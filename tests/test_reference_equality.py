@@ -1,0 +1,150 @@
+"""The integer cut enumerator and the fraction-free dual simplex against
+the Fraction code they replaced (kept in `oracles.py`): equal constraint
+sets, raw and reduced, in the same row order, and equal LP solutions,
+pivots and duals included."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+
+from repairopt import lpcore
+from repairopt.fixtures import BUILDERS
+from repairopt.flowgraph import (
+    ConstraintSet,
+    FlowGraphError,
+    build_flow_graph,
+    enumerate_cut_constraints,
+)
+from repairopt.lpcore import LPError, LPSolution, solve_min_cost
+from repairopt.netmodel import TopologyError, build_topology
+from oracles import reference_cuts, reference_dual_simplex, reference_reduce
+
+
+def assert_matches_reference(spec, raw_lp=True):
+    """Raw and reduced cut sets equal the reference's, and so do the LP
+    solutions over the reduced set and, with raw_lp, over the raw one."""
+    fg = build_flow_graph(spec)
+    raw_rows, raw_rhs = reference_cuts(fg)
+    raw = ConstraintSet(fg.edge_index, raw_rows, raw_rhs)
+    reduced = ConstraintSet(fg.edge_index, *reference_reduce(raw_rows, raw_rhs))
+    assert enumerate_cut_constraints(fg, reduce=False) == raw
+    assert enumerate_cut_constraints(fg) == reduced
+    costs = [spec.cost.cost(i, j) for (i, j) in fg.edge_index]
+    for cs in (reduced, raw) if raw_lp else (reduced,):
+        assert solve_min_cost(cs, costs) == LPSolution(
+            *reference_dual_simplex(cs.rows, cs.rhs, costs))
+
+
+def net(kind, n, k, M, alpha, **shape):
+    return dict(kind=kind, n=n, k=k, M=M, alpha=alpha, **shape)
+
+
+# the benchmark's networks, as its solve-ladder and cuts-n12 workloads run
+# them: (network, failure positions)
+NETWORKS = {
+    "tandem-n4": (net("tandem", 4, 2, 4, 2), None),
+    "grid-2x3": (net("grid", 6, 4, 8, 2, rows=2, cols=3), None),
+    "complete-n5": (net("complete", 5, 3, 6, 2), None),
+    "star-n6": (net("star", 6, 3, 6, 2, center=2), None),
+    "star-n6-M9": (net("star", 6, 3, 9, 3, center=2), None),
+    "grid-3x3-k4": (net("grid", 9, 4, 8, 2, rows=3, cols=3), None),
+    "tandem-n6-k3": (net("tandem", 6, 3, 6, 2), None),
+    "complete-n6-k3": (net("complete", 6, 3, 6, 2), None),
+    "tandem-n8-k4": (net("tandem", 8, 4, 8, 2), None),
+    "complete-n9-k4": (net("complete", 9, 4, 8, 2), (9,)),
+    "grid-3x4-k5": (net("grid", 12, 5, 10, 2, rows=3, cols=4), None),
+    "tandem-n12-k5": (net("tandem", 12, 5, 10, 2), None),
+    "star-n12-k5": (net("star", 12, 5, 10, 2, center=1), None),
+}
+POSITIONS = [pytest.param(name, f, id=f"{name}@{f}")
+             for name, (shape, fails) in NETWORKS.items()
+             for f in (fails or range(1, shape["n"] + 1))]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_fixtures(name):
+    assert_matches_reference(BUILDERS[name]())
+
+
+@pytest.mark.parametrize("name, failed", POSITIONS)
+def test_benchmark_positions(name, failed):
+    shape = dict(NETWORKS[name][0])
+    spec = build_topology(shape.pop("kind"), shape.pop("n"), failed=failed, **shape)
+    # the reference LP over raw n = 12 cut sets takes about a second each
+    assert_matches_reference(spec, raw_lp=spec.n < 12)
+
+
+def test_fixtures_under_blands_rule_throughout(monkeypatch):
+    monkeypatch.setattr(lpcore, "_DEGENERATE_RUN_PER_ROW", 0)
+    for name, builder in sorted(BUILDERS.items()):
+        spec = builder()
+        cs = enumerate_cut_constraints(build_flow_graph(spec))
+        costs = [spec.cost.cost(i, j) for (i, j) in cs.edge_index]
+        assert solve_min_cost(cs, costs) == LPSolution(*reference_dual_simplex(
+            cs.rows, cs.rhs, costs, degenerate_run_per_row=0)), name
+
+
+@st.composite
+def small_specs(draw):
+    kind = draw(st.sampled_from(("tandem", "star", "grid", "complete")))
+    rows = cols = center = None
+    if kind == "grid":
+        rows, cols = draw(st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 4))))
+        n = rows * cols
+    else:
+        n = draw(st.integers(3, 7))
+    if kind == "star":
+        center = draw(st.integers(1, n))
+    k = draw(st.integers(1, n - 1))
+    d = draw(st.integers(k, n - 1))
+    M = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 3)))
+    alpha = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 3)))
+    try:
+        return build_topology(kind, n, k=k, d=d, M=M, alpha=alpha,
+                              failed=draw(st.integers(1, n)), center=center,
+                              rows=rows, cols=cols)
+    except TopologyError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_specs())
+# alpha > M/k; fractional alpha; M/alpha not an integer; d < n-1
+@example(build_topology("complete", 6, k=3, M=6, alpha=3, failed=6))
+@example(build_topology("grid", 6, k=3, M=7, alpha="5/2", rows=2, cols=3, failed=2))
+@example(build_topology("star", 7, k=3, M="13/2", alpha="3/2", center=1, failed=7))
+@example(build_topology("complete", 7, k=3, d=4, M=6, alpha=2, failed=7))
+def test_small_specs(spec):
+    try:
+        build_flow_graph(spec)
+    except FlowGraphError:
+        assume(False)
+    assert_matches_reference(spec)
+
+
+integer_systems = st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.lists(st.tuples(st.lists(st.integers(-1, 2), min_size=m, max_size=m),
+                       st.fractions(-3, 6, max_denominator=4)), max_size=6),
+    st.lists(st.fractions(0, 5, max_denominator=3), min_size=m, max_size=m),
+    st.just(m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems, st.sampled_from((0, 1)))
+def test_integer_systems(system, run_per_row):
+    """Rows with negative entries, fractional rhs and costs, and Bland's
+    rule from the first pivot or after a degenerate run."""
+    rows, costs, m = system
+    cs = ConstraintSet(tuple((i, m + 1) for i in range(1, m + 1)),
+                       tuple(tuple(r) for r, _ in rows), tuple(b for _, b in rows))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lpcore, "_DEGENERATE_RUN_PER_ROW", run_per_row)
+        assert solve_min_cost(cs, costs) == LPSolution(*reference_dual_simplex(
+            cs.rows, cs.rhs, costs, degenerate_run_per_row=run_per_row))
+
+
+def test_fractional_row_entries_rejected():
+    cs = ConstraintSet(((1, 2),), ((Fraction(1, 2),),), (Fraction(1),))
+    with pytest.raises(LPError):
+        solve_min_cost(cs, [1])
