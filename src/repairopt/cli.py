@@ -138,7 +138,24 @@ def spec_options(fn):
     return command
 
 
-@click.group()
+class _Main(click.Group):
+    def main(self, *args, **kwargs):
+        """Run the command line; return normally where click would raise
+        SystemExit(0).
+
+        A caller that runs commands in its own process (click's CliRunner
+        does) then keeps no traceback of a successful run: that traceback
+        and the caller's frame holding it form a reference cycle, which
+        keeps the run's captured output alive until a full collection. A
+        nonzero exit still raises SystemExit."""
+        try:
+            return super().main(*args, **kwargs)
+        except SystemExit as exc:
+            if exc.code:
+                raise
+
+
+@click.group(cls=_Main)
 def main():
     """Minimum-cost repair planning for networked storage."""
 

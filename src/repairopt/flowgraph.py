@@ -138,12 +138,13 @@ def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> Constrai
     free = c_max - (spec.k - 1)  # storage edges left for T and in_nu
     rows: set[tuple[int, int]] = set()  # (crossing mask, storage edges c)
 
+    survivors = spec.survivors
     for K in combinations(spec.helpers, spec.k - 1):
         k_head = k_tail = 0
         for v in K:
             k_head |= head[v]
             k_tail |= tail[v]
-        others = [s for s in spec.survivors if s not in K]
+        others = [s for s in survivors if s not in K]
         for size in range(min(free, len(others)) + 1):
             c = spec.k - 1 + size
             for T in combinations(others, size):

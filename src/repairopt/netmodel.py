@@ -305,39 +305,28 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
     helpers = tuple(helpers)
     d = len(helpers) if d is None else d
 
+    params: list[tuple[str, int]] = []
     if kind == "custom":
         if cost_matrix is None:
             raise TopologyError("custom topology needs an explicit cost matrix")
-        cm, params = cost_matrix, ()
+        cm = cost_matrix
     else:
-        cm = _generated_cost(kind, n, failed, center, rows, cols, overrides)
-        params = _shape_params(kind, center, rows, cols)
+        links = _undirected_adjacency(kind, n, center, rows, cols)
+        oriented = _orient_toward(links, n, failed)
+        entries: dict[tuple[int, int], Fraction] = {}
+        for (i, j) in oriented:
+            c = Fraction(1)
+            if overrides:
+                c = overrides.get((i, j), overrides.get((j, i), c))
+            entries[(i, j)] = Fraction(c)
+        cm = CostMatrix(n, entries)
+        if kind == "star":
+            params.append(("center", center))
+        if kind == "grid":
+            params.extend([("rows", rows), ("cols", cols)])
 
     return NetworkSpec(n=n, k=k, d=d, alpha=alpha, M=M, failed=failed,
-                       helpers=helpers, cost=cm, kind=kind, params=params)
-
-
-def _generated_cost(kind: str, n: int, failed: int, center: int | None,
-                    rows: int | None, cols: int | None,
-                    overrides: dict[tuple[int, int], Fraction] | None) -> CostMatrix:
-    """The cost matrix of a canonical topology oriented toward `failed`."""
-    entries: dict[tuple[int, int], Fraction] = {}
-    for (i, j) in _orient_toward(_undirected_adjacency(kind, n, center, rows, cols),
-                                 n, failed):
-        c = Fraction(1)
-        if overrides:
-            c = overrides.get((i, j), overrides.get((j, i), c))
-        entries[(i, j)] = Fraction(c)
-    return CostMatrix(n, entries)
-
-
-def _shape_params(kind: str, center: int | None, rows: int | None,
-                  cols: int | None) -> tuple[tuple[str, int], ...]:
-    if kind == "star":
-        return (("center", center),)
-    if kind == "grid":
-        return (("rows", rows), ("cols", cols))
-    return ()
+                       helpers=helpers, cost=cm, kind=kind, params=tuple(params))
 
 
 def _cost_overrides(cost: CostMatrix) -> dict[tuple[int, int], Fraction]:
@@ -348,15 +337,15 @@ def _cost_overrides(cost: CostMatrix) -> dict[tuple[int, int], Fraction]:
 def _kind_matches(spec: NetworkSpec) -> bool:
     """Whether the spec's kind and params, with its non-unit link costs as
     overrides, generate exactly its cost matrix."""
-    center, rows, cols = (spec.param(name) for name in ("center", "rows", "cols"))
-    if dict(spec.params) != dict(_shape_params(spec.kind, center, rows, cols)):
-        return False
     try:
-        cost = _generated_cost(spec.kind, spec.n, spec.failed, center, rows, cols,
-                               _cost_overrides(spec.cost))
+        built = build_topology(
+            spec.kind, spec.n, k=spec.k, M=spec.M, alpha=spec.alpha,
+            failed=spec.failed, helpers=spec.helpers, center=spec.param("center"),
+            rows=spec.param("rows"), cols=spec.param("cols"),
+            overrides=_cost_overrides(spec.cost))
     except TopologyError:
         return False
-    return cost == spec.cost
+    return built.cost == spec.cost and dict(built.params) == dict(spec.params)
 
 
 def respec_failure(spec: NetworkSpec, failed: int) -> NetworkSpec:

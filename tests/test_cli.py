@@ -61,6 +61,18 @@ class TestOutputStreams:
             assert runner.invoke(main, ["constraints", *TANDEM]).exit_code == 0
         assert alive() - before <= 5
 
+    def test_success_leaves_no_traceback(self):
+        """A successful run returns where click would raise SystemExit(0),
+        so the caller keeps no traceback; a failing run still exits with
+        its code."""
+        runner = CliRunner()
+        ok = runner.invoke(main, ["constraints", *TANDEM])
+        assert ok.exit_code == 0 and ok.exc_info is None
+        bad = runner.invoke(main, ["verify", *TANDEM, "--z", "0,0,0"])
+        assert bad.exit_code == 1 and bad.exc_info[0] is SystemExit
+        usage = runner.invoke(main, ["solve", "--topology", "tandem"])
+        assert usage.exit_code == 2
+
 
 class TestSolve:
     def test_json_payload(self):
