@@ -9,7 +9,10 @@ it received this stage, and the regenerated node keeps random combinations
 of its inflow. Repair is functional: the new coefficients need not equal
 the lost ones, only the any-k-reconstruct property (RCP) must survive.
 init_code and regenerate check it on every state they return, so their
-callers never check it again.
+callers never check it again. verify_rcp walks the k-subsets depth first
+and shares the elimination of each common prefix among the subsets below
+it; init_code checks all C(n, k) subsets, regenerate only the C(n-1, k-1)
+that contain the repaired node, the only ones a repair can break.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import gfalg
 from .flowgraph import FlowGraphError, repair_cuts
@@ -118,20 +120,50 @@ class CodeState:
     columns: tuple[tuple[tuple[int, ...], ...], ...]  # [node-1][col][row]
 
 
-def _subset_rank(state_columns, subset, M_s: int, q: int) -> int:
-    cols = []
-    for node in subset:
-        cols.extend(state_columns[node - 1])
-    matrix = [[col[r] for col in cols] for r in range(M_s)]
-    return gfalg.mat_rank(matrix, q)
+def verify_rcp(state: CodeState, through: int | None = None):
+    """Check that every k-subset of nodes spans the full file; returns
+    (ok, witness), the witness being the lexicographically first k-subset
+    that does not. With `through`, only the subsets that contain that node
+    are checked.
 
+    The subsets are walked depth first in lexicographic order, carrying the
+    echelon basis of each prefix, so a node's vectors are reduced once per
+    prefix instead of once per subset, and each subset costs one rank check
+    of its last node's residuals. At minimum storage (M_s = k * alpha_s) a
+    subset spans the file only if each node adds alpha_s dimensions to the
+    ones before it, so a prefix whose last node adds fewer fails every
+    subset below it, and its first completion is the witness. A walk
+    through a node puts that node's vectors in the basis first.
+    """
+    q, k, alpha, columns = state.q, state.k, state.alpha_s, state.columns
+    if state.M_s != k * alpha:
+        raise CoderError("RCP check requires the minimum-storage regime alpha = M/k")
+    order = list(range(1, state.n + 1))
+    if through is not None:
+        order.remove(through)
+        order.insert(0, through)
 
-def verify_rcp(state: CodeState):
-    """Check every k-subset spans the full file; returns (ok, witness)."""
-    for subset in combinations(range(1, state.n + 1), state.k):
-        if _subset_rank(state.columns, subset, state.M_s, state.q) != state.M_s:
-            return False, subset
-    return True, None
+    def walk(basis, prefix, start, stop):
+        """The first failing subset that extends prefix by order[start:]
+        and whose next node comes before order[stop]."""
+        need = k - len(prefix)
+        for i in range(start, stop):
+            subset = prefix + (order[i],)
+            block = columns[order[i] - 1]
+            if need == 1:
+                if gfalg.mat_rank(gfalg.residuals(basis, block, q), q) != alpha:
+                    return subset
+                continue
+            child = gfalg.echelon(block, q, basis)
+            if len(child) - len(basis) < alpha:
+                return subset + tuple(order[i + 1:i + need])
+            found = walk(child, subset, i + 1, len(order) - need + 2)
+            if found:
+                return found
+        return None
+
+    witness = walk([], (), 0, 1 if through is not None else len(order) - k + 1)
+    return (True, None) if witness is None else (False, tuple(sorted(witness)))
 
 
 def _random_columns(rng: random.Random, q: int, nrows: int, ncols: int):
@@ -197,6 +229,11 @@ def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
     Each attempt redraws every coding coefficient; an attempt fails only
     if the regenerated system loses the any-k property, so the returned
     state always holds it.
+
+    Precondition: `state` holds the any-k property (every state that
+    init_code and regenerate return does). A repair changes only the
+    failed node's columns, so only the C(n-1, k-1) subsets that contain
+    it can lose the property, and those are the only ones checked.
     """
     rng = rng if rng is not None else random.Random(seed)
     if plan.new_node != spec.failed:
@@ -230,7 +267,7 @@ def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
         candidate = CodeState(q=q, n=state.n, k=state.k, M_s=state.M_s,
                               alpha_s=state.alpha_s, scale=state.scale,
                               columns=tuple(columns))
-        ok, _ = verify_rcp(candidate)
+        ok, _ = verify_rcp(candidate, plan.new_node)
         if ok:
             return candidate, attempt
     raise RetryExhaustedError(f"repair failed RCP in {retries} attempts (q={q})")

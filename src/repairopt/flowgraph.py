@@ -160,10 +160,19 @@ def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> Constrai
     # means a larger rhs, which sorts last
     ordered = sorted(rows, key=lambda row: (row[0], -row[1]))
     if reduce:
-        # (r2, c2) implies (r, c) when r2 is a submask of r and c2 <= c
-        ordered = [(r, c) for r, c in ordered
-                   if not any(r2 & ~r == 0 and c2 <= c and (r2, c2) != (r, c)
-                              for r2, c2 in ordered)]
+        # (r2, c2) implies (r, c) when r2 is a submask of r and c2 <= c, so
+        # of one mask only the least c (the last) survives. A strict
+        # submask is a smaller number with fewer bits, and implication is
+        # transitive, so a row need only be compared with the rows kept
+        # before it that have fewer bits.
+        least = dict(ordered)
+        ordered, kept = [], {}  # kept: bit count -> rows
+        for r, c in least.items():
+            bits = r.bit_count()
+            if not any(r2 & ~r == 0 and c2 <= c
+                       for b in range(bits) for r2, c2 in kept.get(b, ())):
+                ordered.append((r, c))
+                kept.setdefault(bits, []).append((r, c))
     shifts = range(m - 1, -1, -1)
     return ConstraintSet(
         edge_index=fg.edge_index,

@@ -3,9 +3,19 @@
 Matrices are plain row-major lists of ints in [0, q); all routines take
 the prime modulus explicitly. Elimination uses the first nonzero pivot in
 column order so ranks and solutions are reproducible.
+
+Rank needs only forward elimination. `echelon` keeps the span of a set of
+vectors as an echelon basis, a list of (pivot, tail) pairs in ascending
+pivot order, where tail is the basis vector from its pivot on and starts
+with 1 (every entry left of the pivot is 0). A basis can be extended by
+further vectors without redoing the ones it holds, and `residuals` gives the
+part of a vector outside its span.
 """
 
 from __future__ import annotations
+
+from bisect import insort
+from operator import itemgetter
 
 PRIME_SEARCH_LIMIT = 10_000_000
 
@@ -67,11 +77,37 @@ def _eliminate(m: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
+def _residual(basis, vector, q: int) -> list[int]:
+    v = list(vector)
+    for p, tail in basis:
+        f = v[p] % q
+        if f:
+            v[p:] = [x - f * y for x, y in zip(v[p:], tail)]
+    return [x % q for x in v]
+
+
+def residuals(basis, vectors, q: int) -> list[list[int]]:
+    """Each vector minus a combination of the basis: 0 at every pivot, and
+    0 altogether only for a vector in the basis' span. The residuals have
+    the rank that the vectors add to the basis."""
+    return [_residual(basis, v, q) for v in vectors]
+
+
+def echelon(vectors, q: int, basis=()) -> list[tuple[int, list[int]]]:
+    """Echelon basis of the span of `basis` and `vectors` together; the
+    rank they add is its length minus len(basis). `basis` is not changed."""
+    out = list(basis)
+    for vector in vectors:
+        v = _residual(out, vector, q)
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is not None:
+            inv = pow(v[p], -1, q)
+            insort(out, (p, [x * inv % q for x in v[p:]]), key=itemgetter(0))
+    return out
+
+
 def mat_rank(m: list[list[int]], q: int) -> int:
-    if not m:
-        return 0
-    _, pivots = _eliminate(m, q)
-    return len(pivots)
+    return len(echelon(m, q))
 
 
 def mat_solve(a: list[list[int]], b: list[int], q: int) -> list[int]:

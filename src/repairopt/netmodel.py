@@ -380,6 +380,14 @@ def spec_to_json(spec: NetworkSpec) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """An integer field of a network document: a JSON integer or a string
+    of one. A float or a boolean is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TopologyError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def spec_from_json(doc) -> NetworkSpec:
     """Read a document written by spec_to_json. Documents without "kind"
     and "params", and documents whose kind and params do not generate
@@ -388,7 +396,7 @@ def spec_from_json(doc) -> NetworkSpec:
     if not isinstance(doc, dict):
         raise TopologyError("network document must be a JSON object")
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"])
         rows = doc["cost"]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise TopologyError("cost matrix must be n x n")
@@ -407,15 +415,15 @@ def spec_from_json(doc) -> NetworkSpec:
             raise TopologyError(f"unknown topology kind {kind!r}")
         spec = NetworkSpec(
             n=n,
-            k=int(doc["k"]),
-            d=int(doc["d"]),
+            k=_integer(doc["k"]),
+            d=_integer(doc["d"]),
             alpha=alpha,
             M=M,
-            failed=int(doc["failed"]),
-            helpers=tuple(int(h) for h in doc["helpers"]),
+            failed=_integer(doc["failed"]),
+            helpers=tuple(_integer(h) for h in doc["helpers"]),
             cost=CostMatrix(n, entries),
             kind=kind,
-            params=tuple((str(name), int(v))
+            params=tuple((str(name), _integer(v))
                          for name, v in dict(doc.get("params", {})).items()),
         )
         if spec.kind != "custom" and not _kind_matches(spec):

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the package: max-flow instead of
 cut enumeration, exhaustive path enumeration instead of Dijkstra, an
-exhaustive grid search instead of the simplex, and the Leibniz formula
-instead of elimination.
+exhaustive grid search instead of the simplex, the Leibniz formula
+instead of elimination, and a scan of every k-subset instead of the
+prefix-sharing walk of the any-k check.
 
 Two of them are earlier versions of package code, kept as references for
 its faster replacements: the cut enumerator that walks every vertex
@@ -158,6 +159,22 @@ def leibniz_det(m, q):
             term *= m[row][col]
         total += term
     return total % q
+
+
+def reference_rcp(columns, n, k, M_s, q, through=None):
+    """(ok, witness) of the any-k reconstruction check: the first k-subset
+    of nodes in lexicographic order, among those holding `through` if it
+    is given, whose stacked M_s x M_s coefficient matrix has determinant 0
+    over GF(q). columns[node - 1] holds the node's coefficient vectors."""
+    for subset in combinations(range(1, n + 1), k):
+        if through is not None and through not in subset:
+            continue
+        vectors = [v for node in subset for v in columns[node - 1]]
+        if len(vectors) != M_s or any(len(v) != M_s for v in vectors):
+            raise OracleError("subsets do not stack to square matrices")
+        if leibniz_det(vectors, q) == 0:
+            return False, subset
+    return True, None
 
 
 def reference_cuts(fg):

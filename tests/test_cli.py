@@ -178,15 +178,24 @@ NETS = {
 
 
 class TestSpecRoundTrip:
+    # every command that takes the network options, with its other options
+    COMMANDS = (("topology", "gen"), ("constraints",), ("constraints", "--raw"),
+                ("solve",), ("solve", "--format", "csv"), ("bounds",),
+                ("code", "--seed", "3"), ("simulate", "--stages", "6", "--seed", "2"))
+
     @pytest.mark.parametrize("net", sorted(NETS))
-    def test_bounds_and_simulate_match_inline(self, net, tmp_path):
+    def test_every_command_matches_inline(self, net, tmp_path):
         assert run("topology", "gen", *NETS[net], "--out", str(tmp_path)).exit_code == 0
         spec = ("--spec", str(tmp_path / "network.json"))
-        for command in (("bounds",), ("simulate", "--stages", "6", "--seed", "2")):
+        z = json.loads(run("solve", *NETS[net]).output)["z"].values()
+        runs = [(command, 0) for command in self.COMMANDS]
+        runs += [(("verify", "--z", ",".join(z)), 0),               # the optimum
+                 (("verify", "--z", ",".join("0" for _ in z)), 1)]  # nothing sent
+        for command, code in runs:
             inline = run(*command, *NETS[net])
-            assert inline.exit_code == 0
+            assert inline.exit_code == code, command
             through = run(*command, *spec)
-            assert (through.exit_code, through.output) == (0, inline.output)
+            assert (through.exit_code, through.output) == (code, inline.output), command
 
     def test_hand_added_link_is_not_a_tandem(self, tmp_path):
         doc = json.loads(run("topology", "gen", *TANDEM).output)

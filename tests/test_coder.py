@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+from oracles import reference_rcp
 
 from repairopt import coder
 from repairopt.cli import main
@@ -133,6 +135,81 @@ class TestVerifyRcp:
         ok, witness = verify_rcp(state)
         assert not ok and witness == (1, 2)
 
+    def test_through_ignores_subsets_without_the_node(self):
+        # (1, 2) fails, but no subset that holds node 3 or 4 does
+        state = code_state(11, 2, [NODE1, NODE1, NODE3, NODE4])
+        assert verify_rcp(state, 3) == verify_rcp(state, 4) == (True, None)
+        assert verify_rcp(state, 2) == (False, (1, 2))
+
+    # k = 3 over GF(13), alpha_s = 2: six nodes whose every 3-subset spans
+    # GF(13)^6, since node v stores the Vandermonde columns of the points
+    # 2v - 1 and 2v, twelve distinct points in all
+    HEALTHY = [[tuple(pow(x, e, 13) for e in range(6)) for x in (2 * v - 1, 2 * v)]
+               for v in range(1, 7)]
+
+    @pytest.mark.parametrize("edit, through, expected", [
+        # node 4 repeats node 2: the leaf (1, 2, 4) is the first to fail
+        ("copy 2 to 4", None, (1, 2, 4)),
+        # node 2 repeats node 1: the prefix (1, 2) fails, so all of its
+        # completions do
+        ("copy 1 to 2", None, (1, 2, 3)),
+        # node 1 has a zero vector: the prefix (1) fails
+        ("zero 1", None, (1, 2, 3)),
+        # node 5 has a zero vector: the walk through it fails at its root
+        ("zero 5", 5, (1, 2, 5)),
+        ("zero 2", 2, (1, 2, 3)),
+        # node 4 repeats node 2: through node 6 or 3, the only failing
+        # subset holds 2, 4 and that node
+        ("copy 2 to 4", 6, (2, 4, 6)),
+        ("copy 2 to 4", 3, (2, 3, 4)),
+        (None, 5, None),
+    ])
+    def test_failure_at_leaf_prefix_and_root(self, edit, through, expected):
+        nodes = [list(node) for node in self.HEALTHY]
+        if edit is not None and edit.startswith("copy"):
+            _, src, _, dst = edit.split()
+            nodes[int(dst) - 1] = nodes[int(src) - 1]
+        elif edit is not None:
+            nodes[int(edit.split()[1]) - 1][0] = (0,) * 6
+        state = code_state(13, 3, nodes)
+        assert verify_rcp(state, through) == (expected is None, expected)
+        assert reference_rcp(state.columns, 6, 3, 6, 13, through) == (expected is None,
+                                                                      expected)
+
+    @staticmethod
+    @st.composite
+    def small_states(draw):
+        """A code state over a small field, often near-singular: a node
+        block repeated or a vector zeroed, so subsets fail at a leaf, at a
+        prefix and at the root of a walk through a node."""
+        q = draw(st.sampled_from([2, 3, 5, 7]))
+        n = draw(st.integers(1, 6))
+        k = draw(st.integers(1, min(3, n)))
+        alpha = draw(st.integers(1, 2))
+        vector = st.tuples(*[st.integers(0, q - 1)] * (k * alpha))
+        nodes = draw(st.lists(st.lists(vector, min_size=alpha, max_size=alpha),
+                              min_size=n, max_size=n))
+        node, other = st.integers(0, n - 1), st.integers(0, n - 1)
+        for dst, src in draw(st.lists(st.tuples(node, other), max_size=2)):
+            nodes[dst] = list(nodes[src])
+        for dst, j in draw(st.lists(st.tuples(node, st.integers(0, alpha - 1)),
+                                    max_size=2)):
+            nodes[dst][j] = (0,) * (k * alpha)
+        return code_state(q, k, nodes), draw(st.integers(1, n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_states())
+    def test_walk_equals_subset_scan(self, state_and_node):
+        state, t = state_and_node
+        args = state.columns, state.n, state.k, state.M_s, state.q
+        assert verify_rcp(state) == reference_rcp(*args)
+        assert verify_rcp(state, t) == reference_rcp(*args, through=t)
+
+    def test_requires_minimum_storage(self):
+        state = code_state(11, 1, [NODE1, NODE2])  # M_s = 4, k * alpha_s = 2
+        with pytest.raises(CoderError):
+            verify_rcp(state)
+
 
 class TestInitCode:
     def test_init_holds_rcp(self):
@@ -222,7 +299,7 @@ class TestRetryContract:
         """Let the first `passes` RCP checks run, fail the next `failures`."""
         real, calls = coder.verify_rcp, []
 
-        def verify(state):
+        def verify(state, *rest):
             calls.append(state)
             if passes < len(calls) <= passes + failures:
                 return False, (1, 2)

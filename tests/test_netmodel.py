@@ -1,8 +1,9 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repairopt.fixtures import BUILDERS
 from repairopt.netmodel import (
@@ -255,7 +256,8 @@ class TestRespecAndJson:
 
     @pytest.mark.parametrize("change", [
         {"cost": 5}, {"helpers": None}, {"alpha": "inf"}, {"n": None},
-        {"params": [1]}, {"kind": "ring"}])
+        {"params": [1]}, {"kind": "ring"}, {"n": float("inf")}, {"failed": 3.5},
+        {"helpers": [1, 2, True]}])
     def test_json_malformed_field(self, change):
         doc = spec_to_json(build_topology("tandem", 4, k=2, M=4, failed=4))
         with pytest.raises(TopologyError):
@@ -269,3 +271,57 @@ class TestRespecAndJson:
     def test_json_missing_field(self):
         with pytest.raises(TopologyError):
             spec_from_json({"n": 3})
+
+
+# JSON values, with the numbers json.loads also reads (NaN, Infinity) and
+# strings that parse_rational treats specially
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats() | st.text(max_size=4)
+    | st.sampled_from([float("inf"), float("nan"), 2.5, "inf", "1/0", "2/3", "-1",
+                       "1e400", "0", "5"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+DOCUMENTS = [spec_to_json(spec) for spec in (
+    build_topology("tandem", 4, k=2, M=4, failed=4),
+    build_topology("star", 5, k=2, M=4, center=2, failed=1),
+    build_topology("grid", 6, k=3, M=6, rows=2, cols=3, failed=6),
+    build_topology("complete", 4, k=2, M=4, failed=2))]
+
+
+@st.composite
+def spec_documents(draw):
+    """A generated document with some fields, cost cells, helpers or
+    params dropped or replaced by other JSON values; or any JSON value."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(sorted(doc) + ["cell", "helper", "param"]))
+        value = draw(JSON_VALUES)
+        if target == "cell" and isinstance(doc.get("cost"), list) and doc["cost"]:
+            row = draw(st.sampled_from(doc["cost"]))
+            if isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = value
+        elif target == "helper" and isinstance(doc.get("helpers"), list):
+            doc["helpers"].append(value)
+        elif target == "param" and isinstance(doc.get("params"), dict):
+            doc["params"][draw(st.sampled_from(["center", "rows", "cols", "d"]))] = value
+        elif target in doc and draw(st.booleans()):
+            del doc[target]
+        else:
+            doc[target] = value
+    return doc
+
+
+class TestSpecDocumentFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(spec_documents())
+    def test_document_reads_or_raises_topology_error(self, doc):
+        try:
+            spec = spec_from_json(doc)
+        except TopologyError:
+            return
+        assert isinstance(spec, NetworkSpec)
+        assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
