@@ -78,6 +78,8 @@ def _eliminate(m: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
 
 
 def _residual(basis, vector, q: int) -> list[int]:
+    """The vector reduced by each basis vector in pivot order. Entries are
+    taken mod q only where a pivot reads them and on return."""
     v = list(vector)
     for p, tail in basis:
         f = v[p] % q
