@@ -1,12 +1,14 @@
 """Golden outputs: sha256 of CLI stdout plus the exit code, per invocation,
 and of the coefficients a seeded repair produces.
 
-The digests pin seeded reproducibility (`code`, `simulate`, `regenerate`),
-the fixture tables and the help text byte for byte. A change in the order
-in which the coder draws its random coefficients, or in how options are
-declared, shows up here even when every answer stays correct: the CLI
-reports show only attempt counts, so the coefficient digests catch a
-reordering that keeps the number of draws.
+The digests pin seeded reproducibility (`code`, `simulate`, `regenerate`,
+`exact-repair`), the fixture tables and the help text byte for byte. A
+change in the order in which the coder draws its random coefficients, or in
+how options are declared, shows up here even when every answer stays
+correct: the CLI reports show only attempt counts, so the coefficient
+digests catch a reordering that keeps the number of draws. The
+`exact-repair` digests cover every relay symbol, so they pin the helper
+coefficients and the stored symbols too.
 
 To re-record after an intended output change, print `observed(...)` and
 `repaired_digest(...)` for every case and paste the results over the
@@ -37,6 +39,14 @@ CASES = {
     "fixtures-csv": ("fixtures", "--format", "csv"),
     "fixtures-json": ("fixtures", "--format", "json"),
     "solve-help": ("solve", "--help"),
+    **{f"exact-repair-n200-k40-t{t}": (
+        "exact-repair", "--n", "200", "--k", "40", "--q", "211", "--failed", str(t),
+        "--seed", "3") for t in (1, 2, 100, 199, 200)},
+    "exact-repair-n200-k40-t100-split13-27": (
+        "exact-repair", "--n", "200", "--k", "40", "--q", "211", "--failed", "100",
+        "--k1", "13", "--k2", "27", "--seed", "4"),
+    "exact-repair-n6-k3-t4": (
+        "exact-repair", "--n", "6", "--k", "3", "--q", "7", "--failed", "4", "--seed", "5"),
 }
 
 DIGESTS = {
@@ -52,6 +62,13 @@ DIGESTS = {
     "code-star-n6-seed7": ("b51cd765ba933c64f0199ab144b9ca84439d4ffe86372ded64fbd3c6927e9963", 0),
     "code-tandem-n4-seed0": ("a483e68aee4e664aeaabc755388c7a7c3bd02fcc3bdba8a1f73a17744da76ad8", 0),
     "code-tandem-n4-seed7": ("c0c73182870ef926d6a7e5b4eea959551c2975b3c4a5812878c6f6b38cc000b3", 0),
+    "exact-repair-n200-k40-t1": ("e106509384a74d7ce659876f407c3d6b45e6944ffb8539d7ab0c6e62443841bf", 0),
+    "exact-repair-n200-k40-t100": ("97311abe31d868afb6c41c5c546b7b58bcb9a63636c5124ebf47e4b5230aaf54", 0),
+    "exact-repair-n200-k40-t100-split13-27": ("84d13c647cbc0574e1b050edbaa809badf2834b8d5c1eba27c34d183f0fb62d7", 0),
+    "exact-repair-n200-k40-t199": ("6f0b96b9d52be6577ae0965a2c425e1f8f4e1c24bed089e09e7fd216d059fc98", 0),
+    "exact-repair-n200-k40-t2": ("6801b1937e0648420868879d44f9d597fb4eff72a620d08ad74d0da69a8f28d2", 0),
+    "exact-repair-n200-k40-t200": ("3277b8837dc532829fafd376ecc7dad016acdb03bd35a815523b3defe2bec69e", 0),
+    "exact-repair-n6-k3-t4": ("4660d0a9c9b568028043f023f7c2bbee62f4ef9019e8d10a3542df0e36e6de76", 0),
     "fixtures-csv": ("0d511ba1740bf112c2e364ba56a741dac74464eb005bdd55000232335c68999e", 0),
     "fixtures-json": ("e897ff95771e48ead8463948486e5856228c3364a8d3df234428f7c24af9e734", 0),
     "fixtures-text": ("cd03ad6d45ff1549b4204e19a4812c71086b974ca95edffbbbc19255036c2cd1", 0),
