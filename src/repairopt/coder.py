@@ -11,8 +11,9 @@ the lost ones, only the any-k-reconstruct property (RCP) must survive.
 init_code and regenerate check it on every state they return, so their
 callers never check it again. verify_rcp walks the k-subsets depth first
 and shares the elimination of each common prefix among the subsets below
-it; init_code checks all C(n, k) subsets, regenerate only the C(n-1, k-1)
-that contain the repaired node, the only ones a repair can break.
+it, carrying the later nodes' blocks modulo the prefix's span; init_code
+checks all C(n, k) subsets, regenerate only the C(n-1, k-1) that contain
+the repaired node, the only ones a repair can break.
 """
 
 from __future__ import annotations
@@ -126,16 +127,18 @@ def verify_rcp(state: CodeState, through: int | None = None):
     that does not. With `through`, only the subsets that contain that node
     are checked.
 
-    The subsets are walked depth first in lexicographic order, carrying the
-    echelon basis of each prefix, so a node's vectors are reduced once per
-    prefix instead of once per subset, and each subset costs one rank check
-    of its last node's residuals. At minimum storage (M_s = k * alpha_s) a
-    subset spans the file only if each node adds alpha_s dimensions to the
-    ones before it, so a prefix whose last node adds fewer fails every
-    subset below it, and its first completion is the witness. A walk
-    through a node puts that node's vectors in the basis first.
+    The subsets are walked depth first in lexicographic order. Below each
+    prefix the later nodes' blocks are carried in quotient coordinates,
+    modulo the span of the prefix with its pivot columns dropped, so adding
+    a node reduces the later blocks against only that node's basis, and the
+    vectors shrink by alpha_s per level. At minimum storage
+    (M_s = k * alpha_s) a subset spans the file only if each node adds
+    alpha_s dimensions to the ones before it, so a prefix whose last node
+    adds fewer fails every subset below it, and its first completion is the
+    witness; a last node is one alpha_s x alpha_s rank check. A walk
+    through a node puts that node first.
     """
-    q, k, alpha, columns = state.q, state.k, state.alpha_s, state.columns
+    q, k, alpha = state.q, state.k, state.alpha_s
     if state.M_s != k * alpha:
         raise CoderError("RCP check requires the minimum-storage regime alpha = M/k")
     order = list(range(1, state.n + 1))
@@ -143,26 +146,29 @@ def verify_rcp(state: CodeState, through: int | None = None):
         order.remove(through)
         order.insert(0, through)
 
-    def walk(basis, prefix, start, stop):
-        """The first failing subset that extends prefix by order[start:]
-        and whose next node comes before order[stop]."""
+    def walk(prefix, nodes, vectors, stop):
+        """The first failing subset that extends prefix by nodes[i:] with
+        i < stop; vectors holds the nodes' blocks, alpha rows each, modulo
+        the span of the prefix."""
         need = k - len(prefix)
-        for i in range(start, stop):
-            subset = prefix + (order[i],)
-            block = columns[order[i] - 1]
+        for i in range(stop):
+            subset = prefix + (nodes[i],)
+            block = vectors[i * alpha:(i + 1) * alpha]
             if need == 1:
-                if gfalg.mat_rank(gfalg.residuals(basis, block, q), q) != alpha:
+                if gfalg.mat_rank(block, q) != alpha:
                     return subset
                 continue
-            child = gfalg.echelon(block, q, basis)
-            if len(child) - len(basis) < alpha:
-                return subset + tuple(order[i + 1:i + need])
-            found = walk(child, subset, i + 1, len(order) - need + 2)
+            basis = gfalg.echelon(block, q)
+            if len(basis) < alpha:
+                return subset + tuple(nodes[i + 1:i + need])
+            rest = gfalg.quotient(basis, vectors[(i + 1) * alpha:], q)
+            found = walk(subset, nodes[i + 1:], rest, len(nodes) - i - need + 1)
             if found:
                 return found
         return None
 
-    witness = walk([], (), 0, 1 if through is not None else len(order) - k + 1)
+    vectors = [v for node in order for v in state.columns[node - 1]]
+    witness = walk((), order, vectors, 1 if through is not None else len(order) - k + 1)
     return (True, None) if witness is None else (False, tuple(sorted(witness)))
 
 

@@ -6,6 +6,8 @@ point. A failed node is rebuilt from k helpers, k1 on its left and k2 on
 its right: each directional chain forwards exactly one running combination
 per hop, and the two arriving symbols sum to the lost value exactly. Every
 repair therefore costs k unit hops, meeting the line-network lower bound.
+The helper coefficients are the Lagrange basis polynomials of the helpers'
+points evaluated at the failed node's point, O(k^2) field operations.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ class VandermondeCode:
     message: tuple[int, ...]   # the k file fragments
 
     def stored_symbol(self, t: int) -> int:
-        a = self.points[t - 1]
-        return sum(m * pow(a, e, self.q) for e, m in enumerate(self.message)) % self.q
+        a, acc = self.points[t - 1], 0
+        for m in reversed(self.message):   # Horner's rule
+            acc = (acc * a + m) % self.q
+        return acc
 
 
 def init_vandermonde(n: int, k: int, q: int, *, points=None, message=None,
@@ -82,8 +86,11 @@ class RepairTranscript:
 def exact_repair(code: VandermondeCode, t: int, k1: int, k2: int) -> RepairTranscript:
     """Rebuild node t using k1 backward and k2 forward neighbours.
 
-    Solves xi' A = (1, a_t, ..., a_t^(k-1)) for the helper Vandermonde
-    block A, then walks both relay chains one combined symbol per hop.
+    The helper coefficients solve xi' A = (1, a_t, ..., a_t^(k-1)) for the
+    helper Vandermonde block A: xi_j is the Lagrange basis polynomial of
+    helper j's point evaluated at a_t, the product over the other helpers
+    m of (a_t - a_m) / (a_j - a_m). Both relay chains are then walked one
+    combined symbol per hop.
     """
     if not (1 <= t <= code.n):
         raise ExactRepairError("failed node out of range")
@@ -96,13 +103,16 @@ def exact_repair(code: VandermondeCode, t: int, k1: int, k2: int) -> RepairTrans
     q = code.q
     backward = list(range(t - k1, t))
     forward = list(range(t + 1, t + k2 + 1))
-    helpers = backward + forward
-
-    A = [[pow(code.points[h - 1], e, q) for e in range(code.k)] for h in helpers]
-    target = [pow(code.points[t - 1], e, q) for e in range(code.k)]
-    # xi' A = target  <=>  A' xi = target'
-    At = [[A[r][c] for r in range(code.k)] for c in range(code.k)]
-    xi = gfalg.mat_solve(At, target, q)
+    points = [code.points[h - 1] for h in backward + forward]
+    at = code.points[t - 1]
+    xi = []
+    for aj in points:
+        num = den = 1
+        for am in points:
+            if am != aj:
+                num = num * (at - am) % q
+                den = den * (aj - am) % q
+        xi.append(num * pow(den, -1, q) % q)
 
     hops: list[tuple[int, int, int]] = []
 

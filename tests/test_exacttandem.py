@@ -84,6 +84,19 @@ class TestRepair:
         with pytest.raises(ExactRepairError):
             exact_repair(code, 0, 1, 2)
 
+    @pytest.mark.parametrize("n, k, q", [(4, 2, 5), (6, 3, 7), (9, 4, 11), (12, 6, 13)])
+    def test_coefficients_solve_the_vandermonde_system(self, n, k, q):
+        # xi' A = (1, a_t, ..., a_t^(k-1)) with one row (1, a_h, ...) of A
+        # per helper h, at every failed node and every split it allows
+        points = random.Random(n).sample(range(1, q), n)
+        code = init_vandermonde(n, k, q, points=points, seed=k)
+        for t in range(1, n + 1):
+            for k1 in range(max(0, k - (n - t)), min(k, t - 1) + 1):
+                xi = exact_repair(code, t, k1, k - k1).coefficients
+                helpers = [*range(t - k1, t), *range(t + 1, t + k - k1 + 1)]
+                assert [sum(x * pow(points[h - 1], e, q) for x, h in zip(xi, helpers)) % q
+                        for e in range(k)] == [pow(points[t - 1], e, q) for e in range(k)]
+
     def test_random_trials(self):
         rng = random.Random(123)
         for n, k, q in ((4, 2, 5), (6, 3, 7), (8, 4, 11)):

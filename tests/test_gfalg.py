@@ -2,13 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import leibniz_det
 
-from repairopt.gfalg import (
-    SingularMatrixError,
-    is_prime,
-    mat_rank,
-    mat_solve,
-    smallest_prime_geq,
-)
+from repairopt.gfalg import echelon, is_prime, mat_rank, quotient, smallest_prime_geq
 
 PRIMES = [2, 5, 11, 727]
 
@@ -59,15 +53,6 @@ class TestMatrices:
         assert mat_rank([[1, 2], [3, 4]], 11) == 2
         assert leibniz_det([[1, 2], [3, 4]], 11) == (4 - 6) % 11
 
-    def test_solve_roundtrip(self):
-        a = [[1, 2], [3, 4]]
-        x = mat_solve(a, [1, 0], 11)
-        assert [sum(c * v for c, v in zip(row, x)) % 11 for row in a] == [1, 0]
-
-    def test_solve_singular(self):
-        with pytest.raises(SingularMatrixError):
-            mat_solve([[1, 2], [2, 4]], [1, 0], 5)
-
     @settings(max_examples=60)
     @given(st.sampled_from(PRIMES), st.integers(1, 4), st.randoms())
     def test_random_square_det_vs_rank(self, q, n, rnd):
@@ -79,3 +64,26 @@ class TestMatrices:
     def test_rank_of_wide_matrix(self):
         m = [[1, 0, 1], [0, 1, 1]]
         assert mat_rank(m, 2) == 2
+
+
+class TestQuotient:
+    def test_worked_example(self):
+        # modulo the span of (1, 2, 0) and (0, 0, 1) over GF(5) only column
+        # 1 is kept, and (a, b, c) maps to b - 2a
+        basis = echelon([[1, 2, 0], [0, 0, 1]], 5)
+        assert quotient(basis, [[1, 2, 3], [0, 1, 4], [3, 0, 0]], 5) == [[0], [1], [4]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.data())
+    def test_rank_added_and_span_maps_to_zero(self, q, width, data):
+        vector = st.lists(st.integers(0, q - 1), min_size=width, max_size=width)
+        spanning = data.draw(st.lists(vector, max_size=width))
+        vectors = data.draw(st.lists(vector, max_size=4))
+        coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=len(spanning),
+                                    max_size=len(spanning)))
+        basis = echelon(spanning, q)
+        image = quotient(basis, vectors, q)
+        assert all(len(v) == width - len(basis) for v in image)
+        assert mat_rank(spanning + vectors, q) - len(basis) == mat_rank(image, q)
+        inside = [sum(c * v[j] for c, v in zip(coeffs, spanning)) % q for j in range(width)]
+        assert quotient(basis, [inside], q) == [[0] * (width - len(basis))]
