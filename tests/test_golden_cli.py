@@ -2,13 +2,16 @@
 and of the coefficients a seeded repair produces.
 
 The digests pin seeded reproducibility (`code`, `simulate`, `regenerate`,
-`exact-repair`), the fixture tables and the help text byte for byte. A
+`exact-repair`), the fixture tables, the `bounds` rows and the help text
+byte for byte. A
 change in the order in which the coder draws its random coefficients, or in
 how options are declared, shows up here even when every answer stays
 correct: the CLI reports show only attempt counts, so the coefficient
 digests catch a reordering that keeps the number of draws. The
 `exact-repair` digests cover every relay symbol, so they pin the helper
-coefficients and the stored symbols too.
+coefficients and the stored symbols too. On the star and complete
+networks several relays are ready at once, so their `simulate` digests pin
+the order in which a repair visits the nodes.
 
 To re-record after an intended output change, print `observed(...)` and
 `repaired_digest(...)` for every case and paste the results over the
@@ -35,6 +38,24 @@ CASES = {
         "simulate", "--topology", "grid", "--n", "6", "--k", "3", "--M", "6",
         "--alpha", "2", "--rows", "2", "--cols", "3", "--failed", "6",
         "--stages", "10", "--seed", "1"),
+    "simulate-star-n6-k3-seed3": (
+        "simulate", "--topology", "star", "--n", "6", "--k", "3", "--M", "6",
+        "--center", "2", "--failed", "1", "--stages", "8", "--seed", "3"),
+    "simulate-complete-n6-k3-seed3": (
+        "simulate", "--topology", "complete", "--n", "6", "--k", "3", "--M", "6",
+        "--stages", "8", "--seed", "3"),
+    "bounds-tandem-n4-failed1": (
+        "bounds", "--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",
+        "--failed", "1"),
+    "bounds-star-n6": (
+        "bounds", "--topology", "star", "--n", "6", "--k", "3", "--M", "6",
+        "--center", "2", "--failed", "1"),
+    "bounds-tandem-n4-failed2": (
+        "bounds", "--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",
+        "--failed", "2"),
+    "bounds-star-n6-centre": (
+        "bounds", "--topology", "star", "--n", "6", "--k", "3", "--M", "6",
+        "--center", "2", "--failed", "2"),
     "fixtures-text": ("fixtures",),
     "fixtures-csv": ("fixtures", "--format", "csv"),
     "fixtures-json": ("fixtures", "--format", "json"),
@@ -50,6 +71,10 @@ CASES = {
 }
 
 DIGESTS = {
+    "bounds-star-n6": ("157cc825d58cbb4e5e29f236ba9f47ddc2a0f4a039e29abba17d0c12cd6a95a0", 0),
+    "bounds-star-n6-centre": ("86a08accf36f300c5030facf7103a549a6ab1e802610763df6304ac0cc5c72c2", 0),
+    "bounds-tandem-n4-failed1": ("e3151f3dfd0ace86e80e09948400051e5d1296e0b3895595515a4c32c848f50f", 0),
+    "bounds-tandem-n4-failed2": ("5e865228d081acb6c70d0226ecf0722332bc6370b900d04aa5a6caac326bd585", 0),
     "code-complete-n5-cost3-seed0": ("efaec4b6832561276be9cee162833c73a95650bce36fc8a28205c803e91b7692", 0),
     "code-complete-n5-cost3-seed7": ("9e7d7d01bf11cc8b1c1e27ec88df296c24dbd4be4c331e97209a1da7a60d7933", 0),
     "code-complete-n5-unit-seed0": ("717b6ec72fb9064e11f572b4c2a40739311875b0c97f9c66c3e972fdec76ddcd", 0),
@@ -72,7 +97,9 @@ DIGESTS = {
     "fixtures-csv": ("0d511ba1740bf112c2e364ba56a741dac74464eb005bdd55000232335c68999e", 0),
     "fixtures-json": ("e897ff95771e48ead8463948486e5856228c3364a8d3df234428f7c24af9e734", 0),
     "fixtures-text": ("cd03ad6d45ff1549b4204e19a4812c71086b974ca95edffbbbc19255036c2cd1", 0),
+    "simulate-complete-n6-k3-seed3": ("a7d0ef7905749d25da83468a4d1818673216dbd5b034b024833361fd45094410", 0),
     "simulate-grid-2x3-k3-seed1": ("e92f92470c62c433fb005fba36e7442e1d26bc6cacb0a6671bf00917bf98ae9d", 0),
+    "simulate-star-n6-k3-seed3": ("07129ed731db345563486ef7b82b6894030045d75af573d8e5c0b16272b5dfee", 0),
     "solve-help": ("aea02a3c25eea5834c33f220c06c2e689a648b9fdc2dae34179932e55bd096e6", 0),
 }
 
