@@ -7,7 +7,6 @@ from .netmodel import (
     TopologyError,
     baseline_cost,
     build_topology,
-    shortest_path_cost,
     spec_from_json,
     spec_to_json,
 )

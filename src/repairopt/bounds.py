@@ -58,7 +58,7 @@ class GainReport:
     sigma_opt: Fraction
     g_c: Fraction
     closed_form_value: Fraction | None
-    matches_closed_form: bool
+    paper_gain: Fraction | None
 
 
 def closed_form_for(spec: NetworkSpec) -> Fraction | None:
@@ -77,19 +77,29 @@ def closed_form_for(spec: NetworkSpec) -> Fraction | None:
     return None
 
 
+def paper_gain_for(spec: NetworkSpec) -> Fraction | None:
+    """The published gain formula for this failure, if one exists: line
+    networks with an end node failing and stars with a non-central one."""
+    if spec.kind == "tandem" and spec.failed in (1, spec.n):
+        return gain_tandem_endnode(spec.n, spec.k)
+    if spec.kind == "star" and spec.failed != spec.param("center"):
+        return gain_star_noncentral(spec.n, spec.k)
+    return None
+
+
 def compare_lp_to_bounds(spec: NetworkSpec) -> GainReport:
-    """Solve the LP and report baseline, optimum, gain, and the closed form."""
+    """Solve the LP and report baseline, optimum, gain, the closed form and
+    the published gain."""
     sol = solve_min_cost(*repair_cuts(spec))
     if sol.status != "optimal":
         raise LPError(f"LP did not solve: {sol.status}")
     base = baseline_cost(spec)
     if sol.value < 0 or sol.value > base:
         raise RuntimeError("LP value violates the baseline sandwich")
-    closed = closed_form_for(spec)
     return GainReport(
         sigma_non_opt=base,
         sigma_opt=sol.value,
         g_c=base / sol.value if sol.value else Fraction(0),
-        closed_form_value=closed,
-        matches_closed_form=(closed == sol.value) if closed is not None else False,
+        closed_form_value=closed_form_for(spec),
+        paper_gain=paper_gain_for(spec),
     )

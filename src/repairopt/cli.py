@@ -72,12 +72,7 @@ def _echo(text: str, err: bool = False) -> None:
 
 
 def _emit(payload, fmt: str, out: str | None, filename: str):
-    if fmt == "json":
-        text = json.dumps(payload, indent=2)
-    elif fmt == "csv":
-        text = payload["csv"]
-    else:
-        text = payload.get("text", json.dumps(payload, indent=2))
+    text = json.dumps(payload, indent=2) if fmt == "json" else payload["csv"]
     if out:
         target = Path(out)
         target.mkdir(parents=True, exist_ok=True)
@@ -209,17 +204,13 @@ def solve(spec, fmt, out):
 def bounds_cmd(spec, out):
     """Compare the LP optimum to baselines and closed-form bounds (CSV)."""
     report = bounds_mod.compare_lp_to_bounds(spec)
-    gain_paper = ""
-    if spec.kind == "tandem" and spec.failed in (1, spec.n):
-        gain_paper = format_rational(bounds_mod.gain_tandem_endnode(spec.n, spec.k))
-    elif spec.kind == "star" and spec.failed != spec.param("center"):
-        gain_paper = format_rational(bounds_mod.gain_star_noncentral(spec.n, spec.k))
     header = "topology,n,k,M,alpha,lp,closed_form,baseline,gain_paper,gain_computed"
     row = ",".join([
         spec.kind, str(spec.n), str(spec.k), format_rational(spec.M),
         format_rational(spec.alpha), format_rational(report.sigma_opt),
-        format_rational(report.closed_form_value) if report.closed_form_value is not None else "",
-        format_rational(report.sigma_non_opt), gain_paper,
+        "" if report.closed_form_value is None else format_rational(report.closed_form_value),
+        format_rational(report.sigma_non_opt),
+        "" if report.paper_gain is None else format_rational(report.paper_gain),
         format_rational(report.g_c),
     ])
     _emit({"csv": header + "\n" + row}, "csv", out, "bounds.csv")

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import gfalg
 from .flowgraph import FlowGraphError, repair_cuts
 from .lpcore import solve_min_cost
-from .netmodel import NetworkSpec, TopologyError, respec_failure
+from .netmodel import NetworkSpec, TopologyError, respec_failure, topological_order
 
 
 class CoderError(RuntimeError):
@@ -69,12 +69,12 @@ class RepairPlan:
 def compute_n_nc(edges, counts, new_node: int) -> int:
     """1 + the largest number of encoding nodes on any active path into
     the new node (the new node itself counts as one encoder)."""
-    active = [(e, c) for e, c in zip(edges, counts) if c > 0]
+    active = [e for e, c in zip(edges, counts) if c > 0]
     if not active:
         raise CoderError("empty repair plan")
-    depth = {v: 0 for e, _ in active for v in e}
-    for v in _topological_nodes(active):
-        for (i, j), _ in active:
+    depth = {v: 0 for e in active for v in e}
+    for v in topological_order(depth, active):
+        for i, j in active:
             if i == v:
                 depth[j] = max(depth[j], depth[i] + 1)
     return depth[new_node] + 1
@@ -176,10 +176,9 @@ def _random_columns(rng: random.Random, q: int, nrows: int, ncols: int):
     return tuple(tuple(rng.randrange(q) for _ in range(nrows)) for _ in range(ncols))
 
 
-def init_code(spec: NetworkSpec, q: int, *, seed=None, rng: random.Random | None = None,
-              scale: int = 1, retries: int = DEFAULT_RETRIES) -> tuple[CodeState, int]:
+def init_code(spec: NetworkSpec, q: int, *, rng: random.Random, scale: int = 1,
+              retries: int = DEFAULT_RETRIES) -> tuple[CodeState, int]:
     """Random initial code with the any-k property; returns (state, attempts)."""
-    rng = rng if rng is not None else random.Random(seed)
     M_s = spec.M * scale
     alpha_s = spec.alpha * scale
     if M_s.denominator != 1 or alpha_s.denominator != 1:
@@ -197,25 +196,6 @@ def init_code(spec: NetworkSpec, q: int, *, seed=None, rng: random.Random | None
     raise RetryExhaustedError(f"no valid initial code in {retries} attempts (q={q})")
 
 
-def _topological_nodes(active) -> list[int]:
-    nodes = {v for e, _ in active for v in e}
-    indeg = {v: 0 for v in nodes}
-    for (_, j), _ in active:
-        indeg[j] += 1
-    order = []
-    ready = sorted(v for v in nodes if indeg[v] == 0)
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for (i, j), _ in active:
-            if i == v:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        ready.sort()
-    return order
-
-
 def _combine(rng: random.Random, pool, M_s: int, q: int) -> tuple[int, ...]:
     """A random GF(q) combination of the vectors in pool, one draw each."""
     combo = [0] * M_s
@@ -228,8 +208,7 @@ def _combine(rng: random.Random, pool, M_s: int, q: int) -> tuple[int, ...]:
 
 
 def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
-               seed=None, rng: random.Random | None = None,
-               retries: int = DEFAULT_RETRIES) -> tuple[CodeState, int]:
+               rng: random.Random, retries: int = DEFAULT_RETRIES) -> tuple[CodeState, int]:
     """Execute the repair along the plan; returns (new state, attempts).
 
     Each attempt redraws every coding coefficient; an attempt fails only
@@ -241,7 +220,6 @@ def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
     failed node's columns, so only the C(n-1, k-1) subsets that contain
     it can lose the property, and those are the only ones checked.
     """
-    rng = rng if rng is not None else random.Random(seed)
     if plan.new_node != spec.failed:
         raise CoderError("plan was built for a different failure")
     if plan.scale != state.scale:
@@ -254,7 +232,8 @@ def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
     if inflow < state.alpha_s:
         raise PlanInfeasibleError(
             f"plan delivers {inflow} subfragments, new node stores {state.alpha_s}")
-    order = _topological_nodes(active)
+    edges = [e for e, _ in active]
+    order = topological_order({v for e in edges for v in e}, edges)
 
     for attempt in range(1, retries + 1):
         received: dict[int, list] = {}
@@ -303,14 +282,6 @@ def run_repair(spec: NetworkSpec, seed=None, *, retries: int = DEFAULT_RETRIES) 
     }
 
 
-def _rescale_plan(plan: RepairPlan, scale: int, q: int, d0: int) -> RepairPlan:
-    factor = scale // plan.scale
-    return RepairPlan(edges=plan.edges,
-                      counts=tuple(c * factor for c in plan.counts),
-                      scale=scale, new_node=plan.new_node,
-                      lp_value=plan.lp_value, n_nc=plan.n_nc, d0=d0, q=q)
-
-
 def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
                     retries: int = DEFAULT_RETRIES) -> list[dict]:
     """T rounds of uniform failure, LP planning, repair and verification.
@@ -338,7 +309,9 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
         raise CoderError("scale does not make M integral")
     d0 = field_size_bound(spec.n, spec.k, int(M_s), spec.n)
     q = gfalg.smallest_prime_geq(d0 + 1)
-    plans = {node: (stage_spec, _rescale_plan(plan, scale, q, d0))
+    plans = {node: (stage_spec, replace(
+                 plan, counts=tuple(c * (scale // plan.scale) for c in plan.counts),
+                 scale=scale, d0=d0, q=q))
              for node, (stage_spec, plan) in plans.items()}
     state, _ = init_code(spec, q, rng=rng, scale=scale, retries=retries)
     candidates = sorted(plans)

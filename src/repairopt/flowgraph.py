@@ -44,19 +44,8 @@ def build_flow_graph(spec: NetworkSpec) -> FlowGraph:
         for (i, j) in spec.cost.edges()
         if i in helper_set and (j in helper_set or j == spec.failed)
     ]
-    # reverse reachability to the new node over candidate edges only
-    preds: dict[int, list[int]] = {}
-    for i, j in candidate:
-        preds.setdefault(j, []).append(i)
-    reach = {spec.failed}
-    stack = [spec.failed]
-    while stack:
-        v = stack.pop()
-        for u in preds.get(v, ()):
-            if u not in reach:
-                reach.add(u)
-                stack.append(u)
-    retained = tuple(sorted((i, j) for (i, j) in candidate if i in reach and j in reach))
+    reach = spec.cost.costs_to(spec.failed, candidate)
+    retained = tuple((i, j) for (i, j) in candidate if i in reach and j in reach)
     if not any(j == spec.failed for (_, j) in retained):
         raise FlowGraphError("no helper can reach the new node")
     return FlowGraph(spec=spec, edge_index=retained)

@@ -4,6 +4,12 @@ Node ids are 1-based. All costs are exact rationals; a missing cost-matrix
 entry means "no direct link". The new node always takes over the failed
 node's position and its incident links, so it is addressed by the failed
 node's id throughout.
+
+The links form an acyclic digraph. Every walk over it follows one order,
+topological_order (Kahn's, least ready node first): CostMatrix keeps that
+order and refuses a cycle, and CostMatrix.costs_to finds the least path
+cost to a node in one pass over it in reverse, which gives the helpers'
+reachability, the shortest-path baseline and the flow graph's pruning.
 """
 
 from __future__ import annotations
@@ -44,6 +50,27 @@ def format_rational(x: Fraction | None) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def topological_order(nodes, edges) -> list:
+    """Kahn's algorithm, taking the least ready node first. A result
+    shorter than nodes means the edges contain a cycle."""
+    indeg = dict.fromkeys(nodes, 0)
+    succ: dict = {}
+    for i, j in edges:
+        succ.setdefault(i, []).append(j)
+        indeg[j] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for j in succ.get(v, ()):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    return order
+
+
 class CostMatrix:
     """Directed unit-transmission costs on an acyclic digraph.
 
@@ -68,22 +95,8 @@ class CostMatrix:
             clean[(i, j)] = c
         self.n = n
         self._cost = dict(sorted(clean.items()))
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        indeg = {v: 0 for v in range(1, self.n + 1)}
-        for _, j in self._cost:
-            indeg[j] += 1
-        queue = deque(v for v, d in indeg.items() if d == 0)
-        seen = 0
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for j in self.successors(v):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if seen != self.n:
+        self._order = topological_order(range(1, n + 1), self._cost)
+        if len(self._order) != n:
             raise TopologyError("cost digraph contains a cycle")
 
     def cost(self, i: int, j: int) -> Fraction | None:
@@ -95,8 +108,18 @@ class CostMatrix:
     def edges(self) -> list[tuple[int, int]]:
         return list(self._cost)
 
-    def successors(self, i: int) -> list[int]:
-        return [j for (a, j) in self._cost if a == i]
+    def costs_to(self, target: int, links=None) -> dict[int, Fraction]:
+        """Least path cost to target from every node that can reach it
+        (target itself at 0), over all links or over the given ones."""
+        succ: dict[int, list[int]] = {}
+        for i, j in self._cost if links is None else links:
+            succ.setdefault(i, []).append(j)
+        dist = {target: Fraction(0)}
+        for v in reversed(self._order):
+            costs = [dist[j] + self._cost[(v, j)] for j in succ.get(v, ()) if j in dist]
+            if costs:
+                dist[v] = min(costs)
+        return dist
 
     def to_rows(self) -> list[list[str]]:
         """n x n rows with "0" diagonal and "inf" for absent links."""
@@ -153,8 +176,9 @@ class NetworkSpec:
             raise TopologyError("alpha and M must be positive")
         if self.cost.n != self.n:
             raise TopologyError("cost matrix size does not match n")
+        reach = self.cost.costs_to(self.failed)
         for h in self.helpers:
-            if shortest_path_cost(self, h, self.failed) is None:
+            if h not in reach:
                 raise TopologyError(f"helper {h} cannot reach the new node")
 
     @property
@@ -168,27 +192,6 @@ class NetworkSpec:
         return dict(self.params).get(name)
 
 
-def shortest_path_cost(spec: NetworkSpec, i: int, j: int) -> Fraction | None:
-    """Minimum total cost over directed paths i -> j; None if unreachable."""
-    if i == j:
-        return Fraction(0)
-    cost = spec.cost
-    dist: dict[int, Fraction] = {i: Fraction(0)}
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), i)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        if u == j:
-            return du
-        for v in cost.successors(u):
-            dv = du + cost.cost(u, v)
-            if v not in dist or dv < dist[v]:
-                dist[v] = dv
-                heapq.heappush(heap, (dv, v))
-    return dist.get(j)
-
-
 def baseline_cost(spec: NetworkSpec) -> Fraction:
     """Repair cost of the bandwidth-optimal approach without cooperation.
 
@@ -199,14 +202,8 @@ def baseline_cost(spec: NetworkSpec) -> Fraction:
 
     if not spec.is_msr():
         raise TopologyError("baseline is defined for the minimum-storage regime alpha = M/k")
-    beta = msr_beta(spec.M, spec.k, spec.d)
-    total = Fraction(0)
-    for h in spec.helpers:
-        c = shortest_path_cost(spec, h, spec.failed)
-        if c is None:
-            raise TopologyError(f"helper {h} cannot reach the new node")
-        total += beta * c
-    return total
+    dist = spec.cost.costs_to(spec.failed)  # NetworkSpec checked every helper is in it
+    return msr_beta(spec.M, spec.k, spec.d) * sum(dist[h] for h in spec.helpers)
 
 
 TOPOLOGIES = ("tandem", "star", "grid", "complete")
@@ -281,13 +278,11 @@ def _orient_toward(links: set[frozenset[int]], n: int, target: int) -> list[tupl
 def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = None,
                    failed: int | None = None, helpers=None, center: int | None = None,
                    rows: int | None = None, cols: int | None = None,
-                   cost_matrix: CostMatrix | None = None,
                    overrides: dict[tuple[int, int], Fraction] | None = None) -> NetworkSpec:
     """Build a NetworkSpec for one of the canonical topologies.
 
     Generated links carry unit cost unless overridden; overrides match an
-    oriented edge by its endpoint pair in either order. kind="custom"
-    takes an explicit (already directed) cost matrix instead.
+    oriented edge by its endpoint pair in either order.
     """
     if n < 3:
         raise TopologyError("need n >= 3")
@@ -305,25 +300,19 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
     helpers = tuple(helpers)
     d = len(helpers) if d is None else d
 
+    links = _undirected_adjacency(kind, n, center, rows, cols)
+    entries: dict[tuple[int, int], Fraction] = {}
+    for (i, j) in _orient_toward(links, n, failed):
+        c = Fraction(1)
+        if overrides:
+            c = overrides.get((i, j), overrides.get((j, i), c))
+        entries[(i, j)] = Fraction(c)
+    cm = CostMatrix(n, entries)
     params: list[tuple[str, int]] = []
-    if kind == "custom":
-        if cost_matrix is None:
-            raise TopologyError("custom topology needs an explicit cost matrix")
-        cm = cost_matrix
-    else:
-        links = _undirected_adjacency(kind, n, center, rows, cols)
-        oriented = _orient_toward(links, n, failed)
-        entries: dict[tuple[int, int], Fraction] = {}
-        for (i, j) in oriented:
-            c = Fraction(1)
-            if overrides:
-                c = overrides.get((i, j), overrides.get((j, i), c))
-            entries[(i, j)] = Fraction(c)
-        cm = CostMatrix(n, entries)
-        if kind == "star":
-            params.append(("center", center))
-        if kind == "grid":
-            params.extend([("rows", rows), ("cols", cols)])
+    if kind == "star":
+        params.append(("center", center))
+    if kind == "grid":
+        params.extend([("rows", rows), ("cols", cols)])
 
     return NetworkSpec(n=n, k=k, d=d, alpha=alpha, M=M, failed=failed,
                        helpers=helpers, cost=cm, kind=kind, params=tuple(params))

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately share no code with the package: max-flow instead of
-cut enumeration, exhaustive path enumeration instead of Dijkstra, an
+cut enumeration, exhaustive path enumeration instead of the one-pass
+least-cost walk over a topological order, an
 exhaustive grid search instead of the simplex, the Leibniz formula
 instead of elimination, and a scan of every k-subset instead of the
 prefix-sharing walk of the any-k check.
@@ -78,12 +79,13 @@ def max_flow_value(spec, z, K):
         flow += bottleneck
 
 
-def all_paths_min_cost(cost, i, j, _seen=None):
-    """Minimum path cost by exhaustive DFS over the acyclic cost digraph."""
+def all_paths_min_cost(cost, i, j):
+    """Minimum path cost by exhaustive DFS over the acyclic cost digraph;
+    None if no path leads from i to j."""
     if i == j:
         return Fraction(0)
     best = None
-    for nxt in cost.successors(i):
+    for nxt in [b for (a, b) in cost.edges() if a == i]:
         sub = all_paths_min_cost(cost, nxt, j)
         if sub is None:
             continue

@@ -8,6 +8,7 @@ from repairopt.bounds import (
     gain_star_noncentral,
     gain_tandem_endnode,
     msr_beta,
+    paper_gain_for,
     star_lower_bound,
     tandem_lower_bound,
 )
@@ -55,6 +56,16 @@ class TestClosedFormSelection:
         spec = build_topology("star", 6, k=3, M=6, alpha=2, center=2, failed=2)
         assert closed_form_for(spec) is None
 
+    def test_paper_gain_only_for_end_and_leaf_failures(self):
+        line = {t: build_topology("tandem", 4, k=2, M=4, alpha=2, failed=t)
+                for t in (1, 2, 4)}
+        assert paper_gain_for(line[1]) == paper_gain_for(line[4]) == Fraction(5, 2)
+        assert paper_gain_for(line[2]) is None
+        assert paper_gain_for(star6()) == gain_star_noncentral(6, 3)
+        centre = build_topology("star", 6, k=3, M=6, alpha=2, center=2, failed=2)
+        assert paper_gain_for(centre) is None
+        assert paper_gain_for(grid2x3()) is None
+
 
 class TestComparison:
     def test_tandem_report(self):
@@ -62,13 +73,13 @@ class TestComparison:
         assert report.sigma_opt == 4
         assert report.sigma_non_opt == 6
         assert report.g_c == Fraction(3, 2)
-        assert report.matches_closed_form
+        assert report.closed_form_value == report.sigma_opt
 
     def test_star_gain_matches_closed_form_ratio(self):
         report = compare_lp_to_bounds(star6())
         assert report.sigma_opt == Fraction(14, 3)
         assert report.g_c == gain_star_noncentral(6, 3)
-        assert report.matches_closed_form
+        assert report.closed_form_value == report.sigma_opt
 
     def test_sandwich_on_grid(self):
         report = compare_lp_to_bounds(grid2x3())

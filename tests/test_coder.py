@@ -215,14 +215,14 @@ class TestVerifyRcp:
 
 class TestInitCode:
     def test_init_holds_rcp(self):
-        state, attempts = init_code(tandem4(), 73, seed=7)
+        state, attempts = init_code(tandem4(), 73, rng=random.Random(7))
         assert verify_rcp(state)[0]
         assert attempts >= 1
 
     def test_requires_minimum_storage(self):
         spec = star6(M=9, alpha=2)  # alpha != M/k
         with pytest.raises(CoderError):
-            init_code(spec, 73, seed=0)
+            init_code(spec, 73, rng=random.Random(0))
 
     def test_retry_exhaustion(self):
         class ZeroRandom(random.Random):
@@ -237,23 +237,23 @@ class TestRegenerate:
     def test_plan_state_mismatches(self):
         spec = tandem4()
         plan = make_plan(spec)
-        state, _ = init_code(spec, plan.q, seed=1)
+        state, _ = init_code(spec, plan.q, rng=random.Random(1))
         other = RepairPlan(edges=plan.edges, counts=plan.counts, scale=2,
                            new_node=plan.new_node, lp_value=plan.lp_value,
                            n_nc=plan.n_nc, d0=plan.d0, q=plan.q)
         with pytest.raises(CoderError):
-            regenerate(state, spec, other, seed=1)
+            regenerate(state, spec, other, rng=random.Random(1))
 
     def test_underfed_plan_rejected(self):
         spec = tandem4()
         plan = make_plan(spec)
-        state, _ = init_code(spec, plan.q, seed=1)
+        state, _ = init_code(spec, plan.q, rng=random.Random(1))
         starved = RepairPlan(edges=plan.edges, counts=(0, 2, 1),
                              scale=1, new_node=plan.new_node,
                              lp_value=plan.lp_value, n_nc=plan.n_nc,
                              d0=plan.d0, q=plan.q)
         with pytest.raises(PlanInfeasibleError):
-            regenerate(state, spec, starved, seed=1)
+            regenerate(state, spec, starved, rng=random.Random(1))
 
 
 class TestPipeline:
@@ -313,19 +313,19 @@ class TestRetryContract:
     def test_regenerate_retries_until_rcp_holds(self, monkeypatch):
         spec = tandem4()
         plan = make_plan(spec)
-        state, _ = init_code(spec, plan.q, seed=1)
+        state, _ = init_code(spec, plan.q, rng=random.Random(1))
         calls = self.fail_after(monkeypatch, 0, 2)
-        repaired, attempts = regenerate(state, spec, plan, seed=1)
+        repaired, attempts = regenerate(state, spec, plan, rng=random.Random(1))
         assert attempts == 3 and len(calls) == 3
         assert verify_rcp(repaired) == (True, None)
 
     def test_regenerate_gives_up_after_retries(self, monkeypatch):
         spec = tandem4()
         plan = make_plan(spec)
-        state, _ = init_code(spec, plan.q, seed=1)
+        state, _ = init_code(spec, plan.q, rng=random.Random(1))
         self.fail_after(monkeypatch, 0, 2)
         with pytest.raises(RetryExhaustedError):
-            regenerate(state, spec, plan, seed=1, retries=2)
+            regenerate(state, spec, plan, rng=random.Random(1), retries=2)
 
     def test_code_exits_1_when_repair_retries_run_out(self, monkeypatch):
         passes = run_repair(tandem4(), seed=5)["init_attempts"]

@@ -20,6 +20,7 @@ tables.
 
 import hashlib
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -135,8 +136,8 @@ REPAIRED = {
 def repaired_digest(name) -> str:
     spec = BUILDERS[name]()
     plan = make_plan(spec)
-    state, _ = init_code(spec, plan.q, seed=7, scale=plan.scale)
-    repaired, _ = regenerate(state, spec, plan, seed=7)
+    state, _ = init_code(spec, plan.q, rng=random.Random(7), scale=plan.scale)
+    repaired, _ = regenerate(state, spec, plan, rng=random.Random(7))
     return hashlib.sha256(repr(repaired.columns).encode()).hexdigest()
 
 

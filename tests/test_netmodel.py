@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repairopt.fixtures import BUILDERS
 from repairopt.netmodel import (
@@ -15,9 +15,9 @@ from repairopt.netmodel import (
     format_rational,
     parse_rational,
     respec_failure,
-    shortest_path_cost,
     spec_from_json,
     spec_to_json,
+    topological_order,
 )
 from oracles import all_paths_min_cost
 
@@ -66,7 +66,8 @@ class TestCostMatrix:
     def test_neighbour_queries(self):
         cm = CostMatrix(4, {(1, 2): Fraction(1), (3, 2): Fraction(1),
                             (2, 4): Fraction(1)})
-        assert cm.successors(2) == [4]
+        assert cm.edges() == [(1, 2), (2, 4), (3, 2)]
+        assert [j for (i, j) in cm.edges() if i == 2] == [4]
         assert sorted(i for (i, j) in cm.edges() if j == 2) == [1, 3]
 
     def test_to_rows_uses_inf(self):
@@ -141,23 +142,77 @@ class TestSpecValidation:
                         failed=3, helpers=(1, 2), cost=cm)
 
 
-class TestShortestPath:
-    def test_matches_path_enumeration(self):
-        for builder_kwargs in (
-            dict(kind="grid", n=6, k=4, M=8, alpha=2, rows=2, cols=3, failed=6),
-            dict(kind="complete", n=5, k=3, M=6, alpha=2, failed=5),
-            dict(kind="star", n=6, k=3, M=6, alpha=2, center=2, failed=1),
-        ):
-            kind = builder_kwargs.pop("kind")
-            n = builder_kwargs.pop("n")
-            spec = build_topology(kind, n, **builder_kwargs)
-            for h in spec.helpers:
-                assert shortest_path_cost(spec, h, spec.failed) == \
-                    all_paths_min_cost(spec.cost, h, spec.failed)
+@st.composite
+def dags(draw):
+    """A random cost digraph: edges run from earlier to later positions of
+    a random ordering of the nodes, with small rational costs."""
+    n = draw(st.integers(1, 7))
+    label = draw(st.permutations(range(1, n + 1)))
+    costs = st.fractions(min_value=0, max_value=6, max_denominator=4)
+    entries = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if draw(st.booleans()):
+                entries[(label[a], label[b])] = draw(costs)
+    return n, entries
 
-    def test_unreachable_is_none(self):
+
+def least_ready_order(n, edges):
+    """Brute force: repeatedly place the least node whose predecessors are
+    all placed."""
+    order = []
+    while len(order) < n:
+        order.append(min(v for v in range(1, n + 1) if v not in order
+                         and all(i in order for (i, j) in edges if j == v)))
+    return order
+
+
+class TestWalk:
+    """topological_order and CostMatrix.costs_to against brute force."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dags(), st.data())
+    def test_costs_to_matches_path_enumeration(self, dag, data):
+        n, entries = dag
+        target = data.draw(st.integers(1, n))
+        links = [e for e in sorted(entries) if data.draw(st.booleans())]
+        cm = CostMatrix(n, entries)
+        sub = CostMatrix(n, {e: entries[e] for e in links})
+        for got, graph in ((cm.costs_to(target), cm), (cm.costs_to(target, links), sub)):
+            for v in range(1, n + 1):
+                expected = all_paths_min_cost(graph, v, target)
+                assert got.get(v) == expected
+                assert (v in got) == (expected is not None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dags())
+    def test_order_is_least_ready_first(self, dag):
+        n, entries = dag
+        assert topological_order(range(1, n + 1), entries) == least_ready_order(n, entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dags(), st.data())
+    def test_back_edge_is_a_cycle(self, dag, data):
+        n, entries = dag
+        cm = CostMatrix(n, entries)
+        paths = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                 if u != v and all_paths_min_cost(cm, u, v) is not None]
+        assume(paths)
+        u, v = data.draw(st.sampled_from(paths))
+        with pytest.raises(TopologyError):
+            CostMatrix(n, {**entries, (v, u): Fraction(1)})
+
+    def test_topology_costs_match_path_enumeration(self):
+        for build in BUILDERS.values():
+            spec = build()
+            dist = spec.cost.costs_to(spec.failed)
+            for v in range(1, spec.n + 1):
+                assert dist.get(v) == all_paths_min_cost(spec.cost, v, spec.failed)
+
+    def test_unreachable_node_is_missing(self):
         spec = build_topology("tandem", 4, k=2, M=4, alpha=2, failed=4)
-        assert shortest_path_cost(spec, 4, 1) is None
+        assert spec.cost.costs_to(1) == {1: 0}
+        assert spec.cost.costs_to(4) == {1: 3, 2: 2, 3: 1, 4: 0}
 
 
 class TestBaseline:
