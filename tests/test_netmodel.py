@@ -67,7 +67,6 @@ class TestCostMatrix:
         cm = CostMatrix(4, {(1, 2): Fraction(1), (3, 2): Fraction(1),
                             (2, 4): Fraction(1)})
         assert cm.edges() == [(1, 2), (2, 4), (3, 2)]
-        assert [j for (i, j) in cm.edges() if i == 2] == [4]
         assert sorted(i for (i, j) in cm.edges() if j == 2) == [1, 3]
 
     def test_to_rows_uses_inf(self):
@@ -181,8 +180,7 @@ class TestWalk:
         for got, graph in ((cm.costs_to(target), cm), (cm.costs_to(target, links), sub)):
             for v in range(1, n + 1):
                 expected = all_paths_min_cost(graph, v, target)
-                assert got.get(v) == expected
-                assert (v in got) == (expected is not None)
+                assert got.get(v) == expected  # missing exactly when no path
 
     @settings(max_examples=200, deadline=None)
     @given(dags())
