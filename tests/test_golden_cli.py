@@ -2,8 +2,9 @@
 and of the coefficients a seeded repair produces.
 
 The digests pin seeded reproducibility (`code`, `simulate`, `regenerate`,
-`exact-repair`), the fixture tables, the `bounds` rows and the help text
-byte for byte. A
+`exact-repair`), the spec documents, the cut constraints, `verify` and
+`solve --format csv`, the fixture tables, the `bounds` rows, the help text
+and the report file `code --out` writes byte for byte. A
 change in the order in which the coder draws its random coefficients, or in
 how options are declared, shows up here even when every answer stays
 correct: the CLI reports show only attempt counts, so the coefficient
@@ -13,9 +14,9 @@ coefficients and the stored symbols too. On the star and complete
 networks several relays are ready at once, so their `simulate` digests pin
 the order in which a repair visits the nodes.
 
-To re-record after an intended output change, print `observed(...)` and
-`repaired_digest(...)` for every case and paste the results over the
-tables.
+To re-record after an intended output change, print `observed(...)`,
+`code_out_digest(...)` and `repaired_digest(...)` for every case and paste
+the results over the tables.
 """
 
 import hashlib
@@ -29,6 +30,9 @@ from repairopt.cli import main
 from repairopt.coder import init_code, make_plan, regenerate
 from repairopt.fixtures import BUILDERS
 from repairopt.netmodel import spec_to_json
+
+TANDEM = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "4", "--alpha", "2",
+          "--failed", "4")
 
 # argv per case; "@name" stands for the path of fixture `name` written by
 # spec_to_json
@@ -57,6 +61,19 @@ CASES = {
     "bounds-star-n6-centre": (
         "bounds", "--topology", "star", "--n", "6", "--k", "3", "--M", "6",
         "--center", "2", "--failed", "2"),
+    "topology-gen-tandem-n4": ("topology", "gen", *TANDEM),
+    "topology-gen-star-n6": (
+        "topology", "gen", "--topology", "star", "--n", "6", "--k", "3", "--M", "6",
+        "--center", "2", "--failed", "1"),
+    "topology-gen-grid-2x3": (
+        "topology", "gen", "--topology", "grid", "--n", "6", "--k", "4", "--M", "8",
+        "--alpha", "2", "--rows", "2", "--cols", "3", "--failed", "6"),
+    "constraints-grid-2x3": ("constraints", "--spec", "@grid-2x3"),
+    "constraints-raw-grid-2x3": ("constraints", "--spec", "@grid-2x3", "--raw"),
+    "verify-tandem-n4-feasible": ("verify", *TANDEM, "--z", "0,2,2"),
+    "verify-tandem-n4-infeasible": ("verify", *TANDEM, "--z", "0,0,0"),
+    "solve-csv-grid-2x3": ("solve", "--spec", "@grid-2x3", "--format", "csv"),
+    "code-tandem-n4-env-seed9": ("code", *TANDEM),
     "fixtures-text": ("fixtures",),
     "fixtures-csv": ("fixtures", "--format", "csv"),
     "fixtures-json": ("fixtures", "--format", "json"),
@@ -88,6 +105,9 @@ DIGESTS = {
     "code-star-n6-seed7": ("b51cd765ba933c64f0199ab144b9ca84439d4ffe86372ded64fbd3c6927e9963", 0),
     "code-tandem-n4-seed0": ("a483e68aee4e664aeaabc755388c7a7c3bd02fcc3bdba8a1f73a17744da76ad8", 0),
     "code-tandem-n4-seed7": ("c0c73182870ef926d6a7e5b4eea959551c2975b3c4a5812878c6f6b38cc000b3", 0),
+    "code-tandem-n4-env-seed9": ("47dfa0238c78e9a8b4c2879dfe440fa82490f13854467f6e64f62437bcf34412", 0),
+    "constraints-grid-2x3": ("f75860c348c918f80a46cd27741d232596df8eaa37d4a666ea7023f5a44c040e", 0),
+    "constraints-raw-grid-2x3": ("9d902fae91cf5e594a107fbfe3f8b092a9c88f73b706d6a233c7de3537caca5e", 0),
     "exact-repair-n200-k40-t1": ("e106509384a74d7ce659876f407c3d6b45e6944ffb8539d7ab0c6e62443841bf", 0),
     "exact-repair-n200-k40-t100": ("97311abe31d868afb6c41c5c546b7b58bcb9a63636c5124ebf47e4b5230aaf54", 0),
     "exact-repair-n200-k40-t100-split13-27": ("84d13c647cbc0574e1b050edbaa809badf2834b8d5c1eba27c34d183f0fb62d7", 0),
@@ -101,25 +121,52 @@ DIGESTS = {
     "simulate-complete-n6-k3-seed3": ("a7d0ef7905749d25da83468a4d1818673216dbd5b034b024833361fd45094410", 0),
     "simulate-grid-2x3-k3-seed1": ("e92f92470c62c433fb005fba36e7442e1d26bc6cacb0a6671bf00917bf98ae9d", 0),
     "simulate-star-n6-k3-seed3": ("07129ed731db345563486ef7b82b6894030045d75af573d8e5c0b16272b5dfee", 0),
+    "solve-csv-grid-2x3": ("a6eadb0b68733d37a2e782fb7215b627bdfb58f437328d5cdbedbb3f49b5ecef", 0),
     "solve-help": ("aea02a3c25eea5834c33f220c06c2e689a648b9fdc2dae34179932e55bd096e6", 0),
+    "topology-gen-grid-2x3": ("1002f356437910ee9e83391c812d1b30923084eebd546b49be423d8dba3c84ff", 0),
+    "topology-gen-star-n6": ("b48abdae0d9252a52171a4b84e72fe4268afb5e894fa463acad31f818bf55f17", 0),
+    "topology-gen-tandem-n4": ("c46848c166c655bb0fe868ea422cb79cad93788cc815e511901bd02415a836e2", 0),
+    "verify-tandem-n4-feasible": ("6fc83a53dc1bc6705ab9ffa238adaa337151a6be36ddbde09f530dd205a3140d", 0),
+    "verify-tandem-n4-infeasible": ("3e26434179fb479228600cfc072de09e29961eab93b86e878a7d1fc3ff353678", 1),
 }
 
 
-def observed(argv, tmp_path) -> tuple[str, int]:
+# the environment of a case, beyond a cleared REPAIROPT_SEED
+ENV = {"code-tandem-n4-env-seed9": {"REPAIROPT_SEED": "9"}}
+
+
+def observed(case, tmp_path) -> tuple[str, int]:
     args = []
-    for arg in argv:
+    for arg in CASES[case]:
         if arg.startswith("@"):
             path = tmp_path / f"{arg[1:]}.json"
             path.write_text(json.dumps(spec_to_json(BUILDERS[arg[1:]]())))
             arg = str(path)
         args.append(arg)
-    result = CliRunner().invoke(main, args, env={"REPAIROPT_SEED": None})
+    result = CliRunner().invoke(main, args, env={"REPAIROPT_SEED": None, **ENV.get(case, {})})
     return hashlib.sha256(result.stdout.encode()).hexdigest(), result.exit_code
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_and_exit_code_unchanged(case, tmp_path):
-    assert observed(CASES[case], tmp_path) == DIGESTS[case]
+    assert observed(case, tmp_path) == DIGESTS[case]
+
+
+# the report file holds exactly the stdout of code-tandem-n4-seed7
+CODE_OUT = "c0c73182870ef926d6a7e5b4eea959551c2975b3c4a5812878c6f6b38cc000b3"
+
+
+def code_out_digest(tmp_path) -> str:
+    """The digest of the report `code --out DIR` writes; stdout names the file."""
+    result = CliRunner().invoke(main, ["code", *TANDEM, "--seed", "7", "--out", str(tmp_path)],
+                                env={"REPAIROPT_SEED": None})
+    path = tmp_path / "code-report.json"
+    assert (result.exit_code, result.stdout) == (0, f"{path}\n")
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_code_out_file_unchanged(tmp_path):
+    assert code_out_digest(tmp_path) == CODE_OUT
 
 
 # fixture -> repaired code state after init_code and regenerate at seed 7
