@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -35,13 +33,6 @@ from .netmodel import (
     spec_from_json,
     spec_to_json,
 )
-
-
-def _seed_option(seed):
-    if seed is not None:
-        return seed
-    env = os.environ.get("REPAIROPT_SEED")
-    return int(env) if env else 0
 
 
 def _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols):
@@ -71,8 +62,13 @@ def _echo(text: str, err: bool = False) -> None:
     click.echo(text, file=sys.stderr if err else sys.stdout)
 
 
-def _emit(payload, fmt: str, out: str | None, filename: str):
-    text = json.dumps(payload, indent=2) if fmt == "json" else payload["csv"]
+def _json(payload) -> str:
+    """The JSON text of every report, with each Fraction as a "p/q" string."""
+    return json.dumps(payload, indent=2, default=format_rational)
+
+
+def _emit(text: str, out: str | None, filename: str):
+    """Print text, or write it to out/filename and print the file's path."""
     if out:
         target = Path(out)
         target.mkdir(parents=True, exist_ok=True)
@@ -92,12 +88,6 @@ def _coded(what: str, run, *args, **kwargs):
     except coder.CoderError as exc:
         _echo(f"{what} failed: {exc}", err=True)
         sys.exit(1)
-
-
-def _render(report: dict) -> dict:
-    """A code or stage report with its rationals as "p/q" strings."""
-    return {key: (format_rational(v) if isinstance(v, Fraction) else v)
-            for key, v in report.items()}
 
 
 def spec_options(fn):
@@ -165,7 +155,7 @@ def topology():
 @click.option("--out", type=click.Path(), help="Directory for the generated file.")
 def topology_gen(spec, out):
     """Generate a network-spec JSON document."""
-    _emit(spec_to_json(spec), "json", out, "network.json")
+    _emit(_json(spec_to_json(spec)), out, "network.json")
 
 
 @main.command()
@@ -175,7 +165,8 @@ def topology_gen(spec, out):
 def constraints(spec, raw, out):
     """Enumerate the cut-set constraints of the repair LP."""
     cs = enumerate_cut_constraints(build_flow_graph(spec), reduce=not raw)
-    _emit(cs.to_json(), "json", out, "constraints.json")
+    _emit(_json({"edge_index": cs.edge_index, "L": cs.rows, "b": cs.rhs}), out,
+          "constraints.json")
 
 
 @main.command()
@@ -186,16 +177,17 @@ def solve(spec, fmt, out):
     """Solve the minimum-cost repair LP exactly."""
     cs, costs = repair_cuts(spec)
     sol = solve_min_cost(cs, costs)
-    payload = {
-        "status": sol.status,
-        "value": format_rational(sol.value),
-        "z": {f"{i}->{j}": format_rational(v)
-              for (i, j), v in zip(cs.edge_index, sol.z_star)},
-        "dual": [format_rational(y) for y in sol.dual],
-        "pivots": sol.pivots,
-    }
-    payload["csv"] = "status,value\n" + f"{sol.status},{format_rational(sol.value)}"
-    _emit(payload, fmt, out, "solution.json" if fmt == "json" else "solution.csv")
+    if fmt == "json":
+        text = _json({
+            "status": sol.status,
+            "value": sol.value,
+            "z": {f"{i}->{j}": v for (i, j), v in zip(cs.edge_index, sol.z_star)},
+            "dual": sol.dual,
+            "pivots": sol.pivots,
+        })
+    else:
+        text = f"status,value\n{sol.status},{format_rational(sol.value)}"
+    _emit(text, out, f"solution.{fmt}")
 
 
 @main.command("bounds")
@@ -213,34 +205,31 @@ def bounds_cmd(spec, out):
         "" if report.paper_gain is None else format_rational(report.paper_gain),
         format_rational(report.g_c),
     ])
-    _emit({"csv": header + "\n" + row}, "csv", out, "bounds.csv")
+    _emit(header + "\n" + row, out, "bounds.csv")
 
 
 @main.command()
 @spec_options
-@click.option("--seed", type=int)
+@click.option("--seed", type=int, default=0, envvar="REPAIROPT_SEED")
 @click.option("--retries", "-R", type=int, default=coder.DEFAULT_RETRIES)
 @click.option("--out", type=click.Path())
 def code(spec, seed, retries, out):
     """Construct and verify a code achieving the LP-optimal repair cost."""
-    report = _coded("code construction", coder.run_repair, spec, _seed_option(seed),
-                    retries=retries)
-    _emit(_render(report), "json", out, "code-report.json")
+    report = _coded("code construction", coder.run_repair, spec, seed, retries=retries)
+    _emit(_json(report), out, "code-report.json")
 
 
 @main.command()
 @spec_options
 @click.option("--stages", "-T", type=int, default=10)
-@click.option("--seed", type=int)
+@click.option("--seed", type=int, default=0, envvar="REPAIROPT_SEED")
 @click.option("--retries", "-R", type=int, default=coder.DEFAULT_RETRIES)
 @click.option("--out", type=click.Path())
 def simulate(spec, stages, seed, retries, out):
     """Run repeated failure/repair stages and verify the code each time."""
-    seed = _seed_option(seed)
     reports = _coded("simulation", coder.simulate_stages, spec, stages, seed,
                      retries=retries)
-    _emit({"seed": seed, "stages": [_render(r) for r in reports]}, "json", out,
-          "simulation.json")
+    _emit(_json({"seed": seed, "stages": reports}), out, "simulation.json")
 
 
 @main.command("exact-repair")
@@ -250,11 +239,10 @@ def simulate(spec, stages, seed, retries, out):
 @click.option("--failed", "-t", type=int, required=True)
 @click.option("--k1", type=int)
 @click.option("--k2", type=int)
-@click.option("--seed", type=int)
+@click.option("--seed", type=int, default=0, envvar="REPAIROPT_SEED")
 @click.option("--out", type=click.Path())
 def exact_repair_cmd(n, k, q, failed, k1, k2, seed, out):
     """Exact line-network repair with the explicit Vandermonde code."""
-    seed = _seed_option(seed)
     try:
         code_obj = exacttandem.init_vandermonde(n, k, q, seed=seed)
         if k1 is None or k2 is None:
@@ -272,7 +260,7 @@ def exact_repair_cmd(n, k, q, failed, k1, k2, seed, out):
         "exact": transcript.exact,
         "hop_count": transcript.hop_count,
     }
-    _emit(payload, "json", out, "exact-repair.json")
+    _emit(_json(payload), out, "exact-repair.json")
     if not transcript.exact:
         sys.exit(1)
 
@@ -292,11 +280,8 @@ def verify(spec, z_text):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     cost = sum(c * v for c, v in zip(costs, z))
-    _echo(json.dumps({
-        "feasible": feasible,
-        "cost": format_rational(cost),
-        "edge_index": [f"{i}->{j}" for (i, j) in cs.edge_index],
-    }, indent=2))
+    edges = [f"{i}->{j}" for (i, j) in cs.edge_index]
+    _echo(_json({"feasible": feasible, "cost": cost, "edge_index": edges}))
     if not feasible:
         sys.exit(1)
 
@@ -307,33 +292,17 @@ def fixtures_cmd(fmt):
     """Run the built-in fixture suite and print a pass/fail table."""
     rows = fixtures.run_fixture_suite()
     if fmt == "json":
-        _echo(json.dumps([
-            {"name": r.name, "lp": format_rational(r.lp_value),
-             "expected": format_rational(r.expected_lp),
-             "published": format_rational(r.published_lp),
-             "baseline": format_rational(r.baseline),
-             "gain": format_rational(r.gain), "ok": r.ok}
-            for r in rows
-        ], indent=2))
+        _echo(_json([{"name": r.name, "lp": r.lp_value, "expected": r.expected_lp,
+                      "published": r.published_lp, "baseline": r.baseline,
+                      "gain": r.gain, "ok": r.ok} for r in rows]))
     else:
-        sep = "," if fmt == "csv" else "  "
-        widths = (18, 8, 8, 10, 8, 8, 6) if fmt == "text" else None
-        header = ["fixture", "lp", "expected", "published", "baseline", "gain", "status"]
-        lines = []
-        for r in rows:
-            lines.append([r.name, format_rational(r.lp_value),
-                          format_rational(r.expected_lp), format_rational(r.published_lp),
-                          format_rational(r.baseline),
-                          format_rational(r.gain), "PASS" if r.ok else "FAIL"])
-        if fmt == "text":
-            fmt_row = lambda cells: sep.join(c.ljust(w) for c, w in zip(cells, widths))
-            _echo(fmt_row(header))
-            for line in lines:
-                _echo(fmt_row(line))
-        else:
-            _echo(sep.join(header))
-            for line in lines:
-                _echo(sep.join(line))
+        table = [["fixture", "lp", "expected", "published", "baseline", "gain", "status"]]
+        table += [[r.name, *map(format_rational, (r.lp_value, r.expected_lp, r.published_lp,
+                                                  r.baseline, r.gain)),
+                   "PASS" if r.ok else "FAIL"] for r in rows]
+        sep, widths = ("  ", (18, 8, 8, 10, 8, 8, 6)) if fmt == "text" else (",", (0,) * 7)
+        for cells in table:
+            _echo(sep.join(c.ljust(w) for c, w in zip(cells, widths)))
     if not all(r.ok for r in rows):
         sys.exit(1)
 

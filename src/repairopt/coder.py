@@ -13,7 +13,9 @@ callers never check it again. verify_rcp walks the k-subsets depth first
 and shares the elimination of each common prefix among the subsets below
 it, carrying the later nodes' blocks modulo the prefix's span; init_code
 checks all C(n, k) subsets, regenerate only the C(n-1, k-1) that contain
-the repaired node, the only ones a repair can break.
+the repaired node, the only ones a repair can break. A plan carries its
+edges, their link costs and its new node, so regenerate takes no network
+spec.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class RepairPlan:
     """Integral repair traffic for one stage, plus the field parameters."""
 
     edges: tuple[tuple[int, int], ...]
+    costs: tuple[Fraction, ...]  # link cost per edge
     counts: tuple[int, ...]  # subfragments per edge, after scaling
     scale: int               # subfragments per original fragment
     new_node: int
@@ -60,9 +63,10 @@ class RepairPlan:
     def active_edges(self) -> list[tuple[tuple[int, int], int]]:
         return [(e, c) for e, c in zip(self.edges, self.counts) if c > 0]
 
-    def achieved_cost(self, spec: NetworkSpec) -> Fraction:
-        total = sum((spec.cost.cost(i, j) * c for (i, j), c in self.active_edges()),
-                    Fraction(0))
+    @property
+    def achieved_cost(self) -> Fraction:
+        """The cost of the counts, in original fragment units."""
+        total = sum((c * n for c, n in zip(self.costs, self.counts)), Fraction(0))
         return total / self.scale
 
 
@@ -103,7 +107,7 @@ def make_plan(spec: NetworkSpec) -> RepairPlan:
     M_scaled = int(spec.M * scale)
     d0 = field_size_bound(spec.n, spec.k, M_scaled, n_nc)
     q = gfalg.smallest_prime_geq(d0 + 1)
-    return RepairPlan(edges=cs.edge_index, counts=counts, scale=scale,
+    return RepairPlan(edges=cs.edge_index, costs=tuple(costs), counts=counts, scale=scale,
                       new_node=spec.failed, lp_value=sol.value,
                       n_nc=n_nc, d0=d0, q=q)
 
@@ -207,8 +211,8 @@ def _combine(rng: random.Random, pool, M_s: int, q: int) -> tuple[int, ...]:
     return tuple(x % q for x in combo)
 
 
-def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
-               rng: random.Random, retries: int = DEFAULT_RETRIES) -> tuple[CodeState, int]:
+def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
+               retries: int = DEFAULT_RETRIES) -> tuple[CodeState, int]:
     """Execute the repair along the plan; returns (new state, attempts).
 
     Each attempt redraws every coding coefficient; an attempt fails only
@@ -220,8 +224,6 @@ def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
     failed node's columns, so only the C(n-1, k-1) subsets that contain
     it can lose the property, and those are the only ones checked.
     """
-    if plan.new_node != spec.failed:
-        raise CoderError("plan was built for a different failure")
     if plan.scale != state.scale:
         raise CoderError("plan granularity does not match the code state")
     q = state.q
@@ -247,7 +249,7 @@ def regenerate(state: CodeState, spec: NetworkSpec, plan: RepairPlan, *,
                         _combine(rng, pool, state.M_s, q) for _ in range(count))
         pool = received.get(plan.new_node, [])
         columns = list(state.columns)
-        columns[spec.failed - 1] = tuple(
+        columns[plan.new_node - 1] = tuple(
             _combine(rng, pool, state.M_s, q) for _ in range(state.alpha_s))
         candidate = CodeState(q=q, n=state.n, k=state.k, M_s=state.M_s,
                               alpha_s=state.alpha_s, scale=state.scale,
@@ -265,11 +267,11 @@ def run_repair(spec: NetworkSpec, seed=None, *, retries: int = DEFAULT_RETRIES) 
     rng = random.Random(seed)
     state, init_attempts = init_code(spec, plan.q, rng=rng, scale=plan.scale,
                                      retries=retries)
-    _, repair_attempts = regenerate(state, spec, plan, rng=rng, retries=retries)
+    _, repair_attempts = regenerate(state, plan, rng=rng, retries=retries)
     return {
         "failed": spec.failed,
         "lp_value": plan.lp_value,
-        "achieved_cost": plan.achieved_cost(spec),
+        "achieved_cost": plan.achieved_cost,
         "q": plan.q,
         "d0": plan.d0,
         "n_nc": plan.n_nc,
@@ -294,37 +296,33 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
     if T < 1:
         raise CoderError("need at least one stage")
     rng = random.Random(seed)
-    plans: dict[int, tuple[NetworkSpec, RepairPlan]] = {}
+    plans: dict[int, RepairPlan] = {}
     for node in range(1, spec.n + 1):
         try:
-            stage_spec = respec_failure(spec, node)
-            plans[node] = stage_spec, make_plan(stage_spec)
+            plans[node] = make_plan(respec_failure(spec, node))
         except (TopologyError, FlowGraphError):
             continue
     if not plans:
         raise CoderError("no node of this network is repairable")
-    scale = math.lcm(*(plan.scale for _, plan in plans.values()))
-    M_s = spec.M * scale
-    if M_s.denominator != 1:
-        raise CoderError("scale does not make M integral")
-    d0 = field_size_bound(spec.n, spec.k, int(M_s), spec.n)
+    # every plan's scale is a multiple of M.denominator, so M * scale is integral
+    scale = math.lcm(*(plan.scale for plan in plans.values()))
+    d0 = field_size_bound(spec.n, spec.k, int(spec.M * scale), spec.n)
     q = gfalg.smallest_prime_geq(d0 + 1)
-    plans = {node: (stage_spec, replace(
-                 plan, counts=tuple(c * (scale // plan.scale) for c in plan.counts),
-                 scale=scale, d0=d0, q=q))
-             for node, (stage_spec, plan) in plans.items()}
+    plans = {node: replace(plan, counts=tuple(c * (scale // plan.scale) for c in plan.counts),
+                           scale=scale, d0=d0, q=q)
+             for node, plan in plans.items()}
     state, _ = init_code(spec, q, rng=rng, scale=scale, retries=retries)
     candidates = sorted(plans)
     reports = []
     for stage in range(1, T + 1):
         failed = candidates[rng.randrange(len(candidates))]
-        stage_spec, plan = plans[failed]
-        state, attempts = regenerate(state, stage_spec, plan, rng=rng, retries=retries)
+        plan = plans[failed]
+        state, attempts = regenerate(state, plan, rng=rng, retries=retries)
         reports.append({
             "stage": stage,
             "failed": failed,
             "lp_value": plan.lp_value,
-            "achieved_cost": plan.achieved_cost(stage_spec),
+            "achieved_cost": plan.achieved_cost,
             "q": q,
             "d0": plan.d0,
             "n_nc": plan.n_nc,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .netmodel import NetworkSpec, format_rational
+from .netmodel import NetworkSpec
 
 
 class FlowGraphError(ValueError):
@@ -65,13 +65,6 @@ class ConstraintSet:
                 raise ValueError("constraint row width does not match edge index")
         if len(self.rows) != len(self.rhs):
             raise ValueError("row/rhs count mismatch")
-
-    def to_json(self) -> dict:
-        return {
-            "edge_index": [list(e) for e in self.edge_index],
-            "L": [list(r) for r in self.rows],
-            "b": [format_rational(b) for b in self.rhs],
-        }
 
 
 def check_feasible(cs: ConstraintSet, z) -> bool:

@@ -45,6 +45,16 @@ class TestConstraints:
         assert len(raw["L"]) == 3
         assert reduced["b"] == ["2", "2"]
 
+    def test_json_shape(self):
+        """Edges print as pairs, and each row of L has its rhs in b as a
+        "p/q" string."""
+        halves = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "5",
+                  "--alpha", "5/2", "--failed", "4")
+        doc = json.loads(run("constraints", *halves).output)
+        assert doc["edge_index"] == [[1, 2], [2, 3], [3, 4]]
+        assert len(doc["L"]) == len(doc["b"]) == 2
+        assert doc["b"] == ["5/2", "5/2"]
+
 
 class TestOutputStreams:
     def test_invocations_free_their_output(self):
@@ -80,6 +90,10 @@ class TestSolve:
         assert doc["status"] == "optimal"
         assert doc["value"] == "4"
         assert doc["z"]["2->3"] == "2"
+
+    def test_json_keys(self):
+        doc = json.loads(run("solve", *TANDEM).output)
+        assert list(doc) == ["status", "value", "z", "dual", "pivots"]
 
     def test_csv_format(self):
         result = run("solve", *TANDEM, "--format", "csv")
@@ -128,6 +142,24 @@ class TestCodeAndSimulate:
         with_flag = run("code", *TANDEM, "--seed", "9")
         with_env = run("code", *TANDEM, env={"REPAIROPT_SEED": "9"})
         assert json.loads(with_flag.output) == json.loads(with_env.output)
+
+    @pytest.mark.parametrize("command", [
+        ("code", *TANDEM), ("simulate", *TANDEM, "--stages", "2"),
+        ("exact-repair", "--n", "6", "--k", "3", "--q", "7", "-t", "3")])
+    def test_malformed_seed_env_is_a_usage_error(self, command):
+        result = run(*command, env={"REPAIROPT_SEED": "abc"})
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and "Traceback" not in result.output
+
+    def test_empty_seed_env_means_seed_0(self):
+        empty = run("code", *TANDEM, env={"REPAIROPT_SEED": ""})
+        assert empty.exit_code == 0 and json.loads(empty.output)["seed"] == 0
+        assert empty.output == run("code", *TANDEM, "--seed", "0").output
+
+    def test_seed_flag_wins_over_env(self):
+        result = run("code", *TANDEM, "--seed", "9", env={"REPAIROPT_SEED": "4"})
+        assert json.loads(result.output)["seed"] == 9
+        assert result.output == run("code", *TANDEM, "--seed", "9").output
 
     def test_simulate(self):
         result = run("simulate", *TANDEM, "--stages", "3", "--seed", "1")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from repairopt.coder import (
     CodeState,
     CoderError,
     PlanInfeasibleError,
-    RepairPlan,
     RetryExhaustedError,
     compute_n_nc,
     field_size_bound,
@@ -68,15 +68,25 @@ class TestPlans:
         assert plan.counts == (0, 2, 2)
         assert plan.n_nc == 3
         assert plan.d0 == 72 and plan.q == 73
-        assert plan.achieved_cost(spec) == plan.lp_value == 4
+        assert plan.achieved_cost == plan.lp_value == 4
 
     def test_grid_plan_scales_thirds(self):
         spec = grid2x3()
         plan = make_plan(spec)
         assert plan.lp_value == Fraction(20, 3)
         assert plan.scale == 3
-        assert plan.achieved_cost(spec) == Fraction(20, 3)
+        assert plan.achieved_cost == Fraction(20, 3)
         assert plan.q > plan.d0
+
+    def test_achieved_cost_follows_the_counts(self):
+        """A rescale that scales the counts but not the scale, or the other
+        way round, shows as an achieved cost off the LP value."""
+        plan = make_plan(complete5_cost3())
+        assert plan.costs == tuple(3 if j == 5 else 1 for _, j in plan.edges)
+        doubled = tuple(2 * c for c in plan.counts)
+        assert replace(plan, counts=doubled, scale=2).achieved_cost == plan.lp_value == 9
+        assert replace(plan, counts=doubled).achieved_cost == 18
+        assert replace(plan, scale=2).achieved_cost == Fraction(9, 2)
 
     def test_plan_requires_optimal(self):
         # alpha = 1 < M/k: no repair subgraph meets every cut
@@ -238,22 +248,15 @@ class TestRegenerate:
         spec = tandem4()
         plan = make_plan(spec)
         state, _ = init_code(spec, plan.q, rng=random.Random(1))
-        other = RepairPlan(edges=plan.edges, counts=plan.counts, scale=2,
-                           new_node=plan.new_node, lp_value=plan.lp_value,
-                           n_nc=plan.n_nc, d0=plan.d0, q=plan.q)
         with pytest.raises(CoderError):
-            regenerate(state, spec, other, rng=random.Random(1))
+            regenerate(state, replace(plan, scale=2), rng=random.Random(1))
 
     def test_underfed_plan_rejected(self):
         spec = tandem4()
         plan = make_plan(spec)
         state, _ = init_code(spec, plan.q, rng=random.Random(1))
-        starved = RepairPlan(edges=plan.edges, counts=(0, 2, 1),
-                             scale=1, new_node=plan.new_node,
-                             lp_value=plan.lp_value, n_nc=plan.n_nc,
-                             d0=plan.d0, q=plan.q)
         with pytest.raises(PlanInfeasibleError):
-            regenerate(state, spec, starved, rng=random.Random(1))
+            regenerate(state, replace(plan, counts=(0, 2, 1)), rng=random.Random(1))
 
 
 class TestPipeline:
@@ -315,7 +318,7 @@ class TestRetryContract:
         plan = make_plan(spec)
         state, _ = init_code(spec, plan.q, rng=random.Random(1))
         calls = self.fail_after(monkeypatch, 0, 2)
-        repaired, attempts = regenerate(state, spec, plan, rng=random.Random(1))
+        repaired, attempts = regenerate(state, plan, rng=random.Random(1))
         assert attempts == 3 and len(calls) == 3
         assert verify_rcp(repaired) == (True, None)
 
@@ -325,7 +328,7 @@ class TestRetryContract:
         state, _ = init_code(spec, plan.q, rng=random.Random(1))
         self.fail_after(monkeypatch, 0, 2)
         with pytest.raises(RetryExhaustedError):
-            regenerate(state, spec, plan, rng=random.Random(1), retries=2)
+            regenerate(state, plan, rng=random.Random(1), retries=2)
 
     def test_code_exits_1_when_repair_retries_run_out(self, monkeypatch):
         passes = run_repair(tandem4(), seed=5)["init_attempts"]

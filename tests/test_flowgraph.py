@@ -109,12 +109,6 @@ class TestEnumeration:
         with pytest.raises(FlowGraphError):
             enumerate_cut_constraints(build_flow_graph(spec))
 
-    def test_json_shape(self):
-        cs = enumerate_cut_constraints(build_flow_graph(tandem4()))
-        doc = cs.to_json()
-        assert doc["edge_index"] == [[1, 2], [2, 3], [3, 4]]
-        assert len(doc["L"]) == len(doc["b"]) == 2
-
 
 class TestCheckFeasible:
     def test_known_points(self):

@@ -184,7 +184,7 @@ def repaired_digest(name) -> str:
     spec = BUILDERS[name]()
     plan = make_plan(spec)
     state, _ = init_code(spec, plan.q, rng=random.Random(7), scale=plan.scale)
-    repaired, _ = regenerate(state, spec, plan, rng=random.Random(7))
+    repaired, _ = regenerate(state, plan, rng=random.Random(7))
     return hashlib.sha256(repr(repaired.columns).encode()).hexdigest()
 
 
