@@ -8,6 +8,7 @@ are JSON (machine), CSV, or aligned text, with rationals serialized as
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -16,17 +17,10 @@ import click
 
 from . import bounds as bounds_mod
 from . import coder, exacttandem, fixtures
-from .flowgraph import (
-    FlowGraphError,
-    build_flow_graph,
-    check_feasible,
-    enumerate_cut_constraints,
-    repair_cuts,
-)
-from .lpcore import LPError, solve_min_cost
+from .flowgraph import build_flow_graph, check_feasible, enumerate_cut_constraints, repair_cuts
+from .lpcore import solve_min_cost
 from .netmodel import (
     TOPOLOGIES,
-    TopologyError,
     build_topology,
     format_rational,
     parse_rational,
@@ -36,19 +30,16 @@ from .netmodel import (
 
 
 def _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols):
-    try:
-        if spec_path:
-            doc = json.loads(Path(spec_path).read_text())
-            return spec_from_json(doc)
-        if topology is None:
-            raise click.UsageError("provide --spec PATH or --topology KIND")
-        if n is None or k is None or m is None:
-            raise click.UsageError("--topology needs --n, --k and --M")
-        return build_topology(
-            topology, n, k=k, M=m, alpha=alpha, d=d, failed=failed,
-            center=center, rows=rows, cols=cols)
-    except (TopologyError, ValueError, OSError) as exc:
-        raise click.UsageError(str(exc))
+    """The spec the network options describe: a --spec document, or an
+    inline --topology with its sizes."""
+    if spec_path:
+        return spec_from_json(json.loads(Path(spec_path).read_text()))
+    if topology is None:
+        raise click.UsageError("provide --spec PATH or --topology KIND")
+    if n is None or k is None or m is None:
+        raise click.UsageError("--topology needs --n, --k and --M")
+    return build_topology(topology, n, k=k, M=m, alpha=alpha, d=d, failed=failed,
+                          center=center, rows=rows, cols=cols)
 
 
 def _echo(text: str, err: bool = False) -> None:
@@ -81,29 +72,15 @@ def _emit(text: str, out: str | None, filename: str):
         _echo(text)
 
 
-def _coded(what: str, run, *args, **kwargs):
-    """Run a coder pipeline; a CoderError exits 1 with a one-line message."""
-    try:
-        return run(*args, **kwargs)
-    except coder.CoderError as exc:
-        _echo(f"{what} failed: {exc}", err=True)
-        sys.exit(1)
-
-
 def spec_options(fn):
     """Add the network options to a command and pass it the spec they
-    describe as `spec`. An input the package rejects while the command
-    runs ends in a usage error, not a traceback."""
+    describe as `spec`."""
+    keys = inspect.signature(_load_spec).parameters
 
     @functools.wraps(fn)
-    def command(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols,
-                **kwargs):
-        spec = _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center,
-                          rows, cols)
-        try:
-            return fn(spec, **kwargs)
-        except (TopologyError, FlowGraphError, LPError) as exc:
-            raise click.UsageError(str(exc))
+    def command(**kwargs):
+        spec = _load_spec(**{key: kwargs.pop(key) for key in keys})
+        return fn(spec, **kwargs)
 
     decorators = [
         click.option("--spec", "spec_path", type=click.Path(), help="Network-spec JSON file."),
@@ -123,7 +100,31 @@ def spec_options(fn):
     return command
 
 
+class _Command(click.Command):
+    """A command whose package errors end without a traceback.
+
+    A ValueError is the package's word for input it cannot use, and an
+    OSError one for a path it cannot read or write: either is a usage
+    error, exit 2. A coder that gives up (CoderError) prints
+    "<command> failed: <message>" and exits 1. Any other exception is a
+    bug and keeps its traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise                  # a closed stdout, which click's main handles
+        except (ValueError, OSError) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except coder.CoderError as exc:
+            _echo(f"{ctx.info_name} failed: {exc}", err=True)
+            sys.exit(1)
+
+
 class _Main(click.Group):
+    command_class = _Command
+    group_class = type             # subgroups (`topology`) are _Main too
+
     def main(self, *args, **kwargs):
         """Run the command line; return normally where click would raise
         SystemExit(0).
@@ -211,24 +212,23 @@ def bounds_cmd(spec, out):
 @main.command()
 @spec_options
 @click.option("--seed", type=int, default=0, envvar="REPAIROPT_SEED")
-@click.option("--retries", "-R", type=int, default=coder.DEFAULT_RETRIES)
+@click.option("--retries", "-R", type=click.IntRange(min=1), default=coder.DEFAULT_RETRIES)
 @click.option("--out", type=click.Path())
 def code(spec, seed, retries, out):
     """Construct and verify a code achieving the LP-optimal repair cost."""
-    report = _coded("code construction", coder.run_repair, spec, seed, retries=retries)
+    report = coder.run_repair(spec, seed, retries=retries)
     _emit(_json(report), out, "code-report.json")
 
 
 @main.command()
 @spec_options
-@click.option("--stages", "-T", type=int, default=10)
+@click.option("--stages", "-T", type=click.IntRange(min=1), default=10)
 @click.option("--seed", type=int, default=0, envvar="REPAIROPT_SEED")
-@click.option("--retries", "-R", type=int, default=coder.DEFAULT_RETRIES)
+@click.option("--retries", "-R", type=click.IntRange(min=1), default=coder.DEFAULT_RETRIES)
 @click.option("--out", type=click.Path())
 def simulate(spec, stages, seed, retries, out):
     """Run repeated failure/repair stages and verify the code each time."""
-    reports = _coded("simulation", coder.simulate_stages, spec, stages, seed,
-                     retries=retries)
+    reports = coder.simulate_stages(spec, stages, seed, retries=retries)
     _emit(_json({"seed": seed, "stages": reports}), out, "simulation.json")
 
 
@@ -243,13 +243,12 @@ def simulate(spec, stages, seed, retries, out):
 @click.option("--out", type=click.Path())
 def exact_repair_cmd(n, k, q, failed, k1, k2, seed, out):
     """Exact line-network repair with the explicit Vandermonde code."""
-    try:
-        code_obj = exacttandem.init_vandermonde(n, k, q, seed=seed)
-        if k1 is None or k2 is None:
-            k1, k2 = exacttandem.default_split(failed, n, k)
-        transcript = exacttandem.exact_repair(code_obj, failed, k1, k2)
-    except (exacttandem.ExactRepairError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    code_obj = exacttandem.init_vandermonde(n, k, q, seed=seed)
+    if k1 is None and k2 is None:
+        k1, k2 = exacttandem.default_split(failed, n, k)
+    elif k1 is None or k2 is None:        # the other side takes the rest
+        k1, k2 = (k - k2, k2) if k1 is None else (k1, k - k1)
+    transcript = exacttandem.exact_repair(code_obj, failed, k1, k2)
     payload = {
         "n": n, "k": k, "q": q, "failed": failed, "k1": k1, "k2": k2,
         "seed": seed,
@@ -272,13 +271,10 @@ def exact_repair_cmd(n, k, q, failed, k1, k2, seed, out):
 def verify(spec, z_text):
     """Check a user-supplied subgraph against the cut constraints."""
     cs, costs = repair_cuts(spec)
-    try:
-        z = [parse_rational(part) for part in z_text.split(",")]
-        if any(v is None for v in z):
-            raise ValueError("z entries must be finite")
-        feasible = check_feasible(cs, z)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    z = [parse_rational(part) for part in z_text.split(",")]
+    if any(v is None for v in z):
+        raise ValueError("z entries must be finite")
+    feasible = check_feasible(cs, z)
     cost = sum(c * v for c, v in zip(costs, z))
     edges = [f"{i}->{j}" for (i, j) in cs.edge_index]
     _echo(_json({"feasible": feasible, "cost": cost, "edge_index": edges}))

@@ -18,36 +18,50 @@ from __future__ import annotations
 from bisect import insort
 from operator import itemgetter, mul
 
+# A field bound past this comes from a plan whose code initialisation
+# would run without end, so the search stops here.
 PRIME_SEARCH_LIMIT = 10_000_000
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(x: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or past the bound
+    below which its bases are known to decide primality."""
+    if x >= _MR_BOUND:
+        raise ValueError(f"cannot decide whether {x} is prime: only numbers "
+                         f"below {_MR_BOUND} are tested")
     if x < 2:
         return False
-    if x < 4:
-        return True
-    if x % 2 == 0:
-        return False
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
+    for p in _MR_BASES:
+        if x % p == 0:
+            return x == p
+    s = ((x - 1) & (1 - x)).bit_length() - 1     # x - 1 = d * 2^s with d odd
+    d = (x - 1) >> s
+    for a in _MR_BASES:
+        y = pow(a, d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
-def smallest_prime_geq(x: int, limit: int = PRIME_SEARCH_LIMIT) -> int:
-    """Least prime >= x by trial division; desk-scale inputs only."""
+def smallest_prime_geq(x: int) -> int:
+    """Least prime >= x, searched up to PRIME_SEARCH_LIMIT."""
     if x < 2:
         raise ValueError("need x >= 2")
-    if x > limit:
-        raise ValueError(f"prime search limit {limit} exceeded")
-    p = x
-    while not is_prime(p):
-        p += 1
-        if p > limit:
-            raise ValueError(f"prime search limit {limit} exceeded")
-    return p
+    for p in range(x, PRIME_SEARCH_LIMIT + 1):
+        if is_prime(p):
+            return p
+    raise ValueError(f"prime search limit {PRIME_SEARCH_LIMIT} exceeded")
 
 
 def _residual(basis, vector, q: int) -> list[int]:

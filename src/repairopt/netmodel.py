@@ -286,8 +286,12 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
     """
     if n < 3:
         raise TopologyError("need n >= 3")
+    if k < 1:
+        raise TopologyError(f"need k >= 1, got k={k}")
     M = parse_rational(M)
-    alpha = parse_rational(alpha) if alpha is not None else M / k
+    if alpha is None and M is not None:
+        alpha = M / k
+    alpha = parse_rational(alpha)
     if M is None or alpha is None:
         raise TopologyError("alpha and M must be finite")
     failed = n if failed is None else failed

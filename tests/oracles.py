@@ -7,10 +7,11 @@ exhaustive grid search instead of the simplex, the Leibniz formula
 instead of elimination, and a scan of every k-subset instead of the
 prefix-sharing walk of the any-k check.
 
-Two of them are earlier versions of package code, kept as references for
-its faster replacements: the cut enumerator that walks every vertex
-partition and every edge, and the Fraction-tableau dual simplex. The
-package's results must equal theirs exactly.
+Three of them are earlier versions of package code, kept as references
+for its faster replacements: the cut enumerator that walks every vertex
+partition and every edge, the Fraction-tableau dual simplex, and the
+trial-division primality test. The package's results must equal theirs
+exactly.
 """
 
 from collections import deque
@@ -148,6 +149,22 @@ def brute_force_optimum(cs, costs, granularity: int = 1,
     if best[0] is None:
         raise OracleError("no feasible grid point within the cap")
     return best[0]
+
+
+def trial_division_is_prime(x):
+    """Primality by trial division with odd factors up to sqrt(x)."""
+    if x < 2:
+        return False
+    if x < 4:
+        return True
+    if x % 2 == 0:
+        return False
+    f = 3
+    while f * f <= x:
+        if x % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def leibniz_det(m, q):

@@ -1,11 +1,17 @@
+import errno
 import gc
 import json
+import tempfile
+from pathlib import Path
 
 import click.testing
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repairopt import cli
 from repairopt.cli import main
+from repairopt.netmodel import TOPOLOGIES
 
 
 def run(*args, env=None):
@@ -82,6 +88,17 @@ class TestOutputStreams:
         assert bad.exit_code == 1 and bad.exc_info[0] is SystemExit
         usage = runner.invoke(main, ["solve", "--topology", "tandem"])
         assert usage.exit_code == 2
+
+
+    def test_closed_stdout_is_not_a_usage_error(self, monkeypatch):
+        """A write to a closed stdout is left to click's main, which exits 1
+        without a usage message."""
+        def closed(text, err=False):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(cli, "_echo", closed)
+        result = run("solve", *TANDEM)
+        assert result.exit_code == 1 and "Usage" not in result.output
 
 
 class TestSolve:
@@ -183,6 +200,26 @@ class TestExactRepair:
                      "-t", "3")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("given, split", [
+        (("--k1", "2"), (2, 1)), (("--k2", "2"), (1, 2)), (("--k1", "0"), (0, 3))])
+    def test_lone_side_takes_k_minus_the_other(self, given, split):
+        result = run("exact-repair", "--n", "6", "--k", "3", "--q", "7", "-t", "3", *given)
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert (doc["k1"], doc["k2"], doc["exact"]) == (*split, True)
+
+    def test_impossible_lone_side_is_a_usage_error(self):
+        result = run("exact-repair", "--n", "6", "--k", "3", "--q", "7", "-t", "3",
+                     "--k1", "4")
+        assert result.exit_code == 2 and "need k1 + k2 = k = 3" in result.output
+
+    def test_huge_prime_field(self):
+        result = run("exact-repair", "--n", "5", "--k", "3", "--q", "1000000000000000003",
+                     "-t", "3")
+        assert result.exit_code == 0 and json.loads(result.output)["exact"] is True
+        past = run("exact-repair", "--n", "5", "--k", "3", "--q", str(10**25), "-t", "3")
+        assert past.exit_code == 2 and "cannot decide" in past.output
+
 
 class TestFixtures:
     def test_table_passes(self):
@@ -279,3 +316,124 @@ class TestCleanErrors:
         starved = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",
                    "--alpha", "1")
         self.usage_error(run("bounds", *starved), "LP did not solve: infeasible")
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--M", "inf"), "alpha and M must be finite"),
+        (("--M", "4", "--k", "0"), "need k >= 1"),
+        (("--M", "1000000"), "prime search limit 10000000 exceeded")])
+    @pytest.mark.parametrize("command", ["code", "simulate"])
+    def test_spec_and_field_escapes(self, command, flags, message):
+        tandem = ("--topology", "tandem", "--n", "4", "--k", "2")
+        self.usage_error(run(command, *tandem, *flags), message)
+
+    @pytest.mark.parametrize("command", [("code", "--retries", "0"),
+                                         ("simulate", "--stages", "0"),
+                                         ("simulate", "--retries", "0")])
+    def test_zero_counts(self, command):
+        result = run(*command, *TANDEM)
+        assert result.exit_code == 2 and "x>=1" in result.output
+
+    @pytest.mark.parametrize("below", ["", "below"])
+    def test_out_is_not_a_directory(self, below, tmp_path):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / below
+        result = run("topology", "gen", *TANDEM, "--out", str(out))
+        assert result.exit_code == 2 and "Error: [Errno" in result.output
+
+    @pytest.mark.parametrize("command", ["code", "simulate"])
+    def test_coder_failure_names_the_command(self, command):
+        off_regime = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",
+                      "--alpha", "3")
+        result = run(command, *off_regime)
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"{command} failed: coder requires")
+
+
+NETWORK_COMMANDS = (("topology", "gen"), ("constraints",), ("solve",), ("bounds",),
+                    ("code",), ("simulate",), ("verify",))
+# mostly valid values, so that some runs get past the input checks
+SIZE = st.sampled_from(["1", "2", "3", "4", "5", "6", "0", "-1"])
+NODES = st.sampled_from(["4", "5", "6", "3", "2"])
+NUMBER = st.sampled_from(["2", "4", "6", "1", "5/2", "0", "-1", "inf", "1/0", "abc"])
+COUNT = st.sampled_from(["1", "2", "0"])
+OUT = st.sampled_from(["dir", "file", "file/below"])  # under the test's directory
+
+
+@st.composite
+def argvs(draw):
+    """The argv of a network command or of exact-repair: the options that
+    say which network or line, and verify's --z and simulate's --stages,
+    always; each other one present or not; at sizes too small for any
+    command to do real work."""
+    command = draw(st.sampled_from(NETWORK_COMMANDS + (("exact-repair",),)))
+    if command == ("exact-repair",):
+        required = {"--n": NODES, "--k": SIZE, "--failed": SIZE,
+                    "--q": st.sampled_from(["2", "6", "7", "11"])}
+        optional = {"--k1": SIZE, "--k2": SIZE, "--seed": SIZE, "--out": OUT}
+    else:
+        required = {"--topology": st.sampled_from(TOPOLOGIES), "--n": NODES, "--k": SIZE,
+                    "--M": NUMBER}
+        optional = {"--d": SIZE, "--alpha": NUMBER, "--failed": SIZE, "--center": SIZE,
+                    "--rows": SIZE, "--cols": SIZE}
+        if command in (("code",), ("simulate",)):
+            optional.update({"--seed": SIZE, "--retries": COUNT})
+        if command == ("simulate",):
+            required["--stages"] = COUNT
+        if command == ("verify",):
+            required["--z"] = st.lists(NUMBER, max_size=4).map(",".join)
+        else:
+            optional["--out"] = OUT
+    argv = list(command)
+    for name, values in required.items():
+        argv += [name, draw(values)]
+    for name, values in optional.items():
+        if draw(st.booleans()):
+            argv += [name, draw(values)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_root():
+    """One directory for every run of the fuzz test; "file" in it is a file."""
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "file").write_text("")
+        yield Path(root)
+
+
+TANDEM_INLINE = ["--topology", "tandem", "--n", "4", "--k", "2"]
+
+
+class TestFuzz:
+    # the deadline is far above what any of these runs costs (under 0.3 s),
+    # so only a run that all but fails to end exceeds it
+    @settings(max_examples=300, deadline=5000,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=argvs())
+    @example(argv=["solve", *TANDEM_INLINE, "--M", "inf"])
+    @example(argv=["topology", "gen", *TANDEM_INLINE, "--M", "inf"])
+    @example(argv=["constraints", "--topology", "tandem", "--n", "4", "--k", "0", "--M", "4"])
+    @example(argv=["verify", "--topology", "tandem", "--n", "4", "--k", "0", "--M", "4",
+                   "--z", "1,1,1"])
+    @example(argv=["code", *TANDEM_INLINE, "--M", "1000000"])
+    @example(argv=["simulate", *TANDEM_INLINE, "--M", "1000000"])
+    @example(argv=["topology", "gen", *TANDEM_INLINE, "--M", "4", "--out", "file"])
+    @example(argv=["bounds", *TANDEM_INLINE, "--M", "4", "--out", "file/below"])
+    @example(argv=["exact-repair", "--n", "5", "--k", "3", "--q", "1000000000000000003",
+                   "--failed", "3"])
+    @example(argv=["exact-repair", "--n", "6", "--k", "3", "--q", "7", "--failed", "3",
+                   "--k1", "2"])
+    def test_every_run_exits_cleanly(self, argv, out_root):
+        """Every run ends in exit 0, 1 or 2 and raises nothing but SystemExit,
+        and exact-repair reports the split it was given."""
+        argv = [str(out_root / a) if flag == "--out" else a
+                for flag, a in zip([None, *argv], argv)]
+        result = run(*argv)
+        assert result.exit_code in (0, 1, 2), (argv, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            (argv, result.exception)
+        if argv[0] == "exact-repair" and result.exit_code == 0:
+            out = result.output
+            doc = json.loads(Path(out.strip()).read_text() if "--out" in argv else out)
+            for side in ("k1", "k2"):
+                if f"--{side}" in argv:
+                    assert doc[side] == int(argv[argv.index(f"--{side}") + 1]), argv

@@ -1,8 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import leibniz_det
+from oracles import leibniz_det, trial_division_is_prime
 
-from repairopt.gfalg import echelon, is_prime, mat_rank, quotient, smallest_prime_geq
+from repairopt.coder import make_plan, simulate_stages
+from repairopt.fixtures import BUILDERS
+from repairopt.gfalg import (
+    PRIME_SEARCH_LIMIT,
+    echelon,
+    is_prime,
+    mat_rank,
+    quotient,
+    smallest_prime_geq,
+)
+from repairopt.netmodel import build_topology, respec_failure
 
 PRIMES = [2, 5, 11, 727]
 
@@ -23,8 +33,53 @@ class TestPrimes:
         assert smallest_prime_geq(14) == 17
 
     def test_search_limit(self):
-        with pytest.raises(ValueError):
-            smallest_prime_geq(100, limit=50)
+        assert smallest_prime_geq(PRIME_SEARCH_LIMIT - 10) == 9_999_991
+        with pytest.raises(ValueError, match="prime search limit"):
+            smallest_prime_geq(PRIME_SEARCH_LIMIT + 1)
+
+
+def field_bounds():
+    """Every d0 that `code` picks its field from on the fixtures (at every
+    failure position) and on the benchmark's grid 3x3 k4, and the one d0
+    that `simulate` on grid 2x3 k3 picks its field from."""
+    specs = [respec_failure(build(), f) for build in BUILDERS.values()
+             for f in range(1, build().n + 1)]
+    specs += [build_topology("grid", 9, k=4, M=8, alpha=2, rows=3, cols=3, failed=f)
+              for f in (9, 1, 5)]
+    sim = build_topology("grid", 6, k=3, M=6, alpha=2, rows=2, cols=3)
+    return ([make_plan(spec).d0 for spec in specs]
+            + [simulate_stages(sim, 1, seed=0)[0]["d0"]])
+
+
+class TestMillerRabin:
+    """The deterministic Miller-Rabin test against trial division."""
+
+    def test_dense_range(self):
+        assert all(is_prime(x) == trial_division_is_prime(x) for x in range(-5, 200_000))
+
+    def test_field_bounds(self):
+        for d0 in field_bounds():
+            assert is_prime(d0 + 1) == trial_division_is_prime(d0 + 1), d0
+            q = smallest_prime_geq(d0 + 1)
+            assert trial_division_is_prime(q), d0
+            assert not any(trial_division_is_prime(x) for x in range(d0 + 1, q)), d0
+
+    @pytest.mark.parametrize("x, factors", [
+        (3215031751, (151, 751, 28351)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+    ])
+    def test_strong_pseudoprimes(self, x, factors):
+        """Composites that pass Miller-Rabin for the first 4 and the first
+        9 prime bases respectively."""
+        assert x == factors[0] * factors[1] * factors[2]
+        assert all(trial_division_is_prime(f) for f in factors)
+        assert not is_prime(x)
+
+    def test_large_primes_and_the_bound(self):
+        assert is_prime(10**18 + 3) and not is_prime(10**18 + 1)
+        assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+        with pytest.raises(ValueError, match="cannot decide"):
+            is_prime(3_317_044_064_679_887_385_961_981)
 
 
 class TestFieldAxioms:
