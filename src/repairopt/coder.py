@@ -1,21 +1,21 @@
 """Construction and verification of optimal-cost minimum-storage codes.
 
-The pipeline: make_plan solves the repair LP, scales the optimal subgraph
-to integral fragment counts and picks a prime field from the degree bound;
-regenerate then executes the repair as random linear coding with
-surviving-node cooperation. Nodes are processed in topological order; each
-forwards fresh random combinations of everything it stores plus everything
-it received this stage, and the regenerated node keeps random combinations
-of its inflow. Repair is functional: the new coefficients need not equal
-the lost ones, only the any-k-reconstruct property (RCP) must survive.
-init_code and regenerate check it on every state they return, so their
-callers never check it again. verify_rcp walks the k-subsets depth first
-and shares the elimination of each common prefix among the subsets below
-it, carrying the later nodes' blocks modulo the prefix's span; init_code
-checks all C(n, k) subsets, regenerate only the C(n-1, k-1) that contain
-the repaired node, the only ones a repair can break. A plan carries its
-edges, their link costs and its new node, so regenerate takes no network
-spec.
+The pipeline: make_plan solves the repair LP and scales the optimal
+subgraph to integral fragment counts; code_field picks a prime field from
+the degree bound; regenerate then executes the repair as random linear
+coding with surviving-node cooperation. Nodes are processed in topological
+order; each forwards fresh random combinations of everything it stores
+plus everything it received this stage, and the regenerated node keeps
+random combinations of its inflow. Repair is functional: the new
+coefficients need not equal the lost ones, only the any-k-reconstruct
+property (RCP) must survive. init_code and regenerate check it on every
+state they return, so their callers never check it again. verify_rcp walks
+the k-subsets depth first and shares the elimination of each common prefix
+among the subsets below it, carrying the later nodes' blocks modulo the
+prefix's span; init_code checks all C(n, k) subsets, regenerate only the
+C(n-1, k-1) that contain the repaired node, the only ones a repair can
+break. A plan carries its edges, their link costs and its new node, so
+regenerate takes no network spec.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ DEFAULT_RETRIES = 100
 
 @dataclass(frozen=True)
 class RepairPlan:
-    """Integral repair traffic for one stage, plus the field parameters."""
+    """Integral repair traffic for one stage."""
 
     edges: tuple[tuple[int, int], ...]
     costs: tuple[Fraction, ...]  # link cost per edge
@@ -57,8 +57,6 @@ class RepairPlan:
     new_node: int
     lp_value: Fraction       # in original fragment units
     n_nc: int
-    d0: int
-    q: int
 
     def active_edges(self) -> list[tuple[tuple[int, int], int]]:
         return [(e, c) for e, c in zip(self.edges, self.counts) if c > 0]
@@ -84,17 +82,19 @@ def compute_n_nc(edges, counts, new_node: int) -> int:
     return depth[new_node] + 1
 
 
-def field_size_bound(n: int, k: int, M_scaled: int, n_nc: int) -> int:
-    """Degree bound on the product of code determinants; the field must be
-    strictly larger than this."""
+def code_field(n: int, k: int, M_s: int, n_nc: int) -> tuple[int, int]:
+    """The field of a code whose file is M_s subfragments and whose
+    repairs pass at most n_nc encoders: (d0, q), with d0 the degree bound
+    on the product of its code determinants and q the least prime above it."""
     if not (1 <= k <= n):
         raise ValueError("need n >= k >= 1")
-    return math.comb(n, k) * M_scaled * n_nc
+    d0 = math.comb(n, k) * M_s * n_nc
+    return d0, gfalg.smallest_prime_geq(d0 + 1)
 
 
 def make_plan(spec: NetworkSpec) -> RepairPlan:
-    """Solve the repair LP, scale its optimal vertex to integral subfragment
-    counts and fix the field."""
+    """Solve the repair LP and scale its optimal vertex to integral
+    subfragment counts."""
     cs, costs = repair_cuts(spec)
     sol = solve_min_cost(cs, costs)
     if sol.status != "optimal":
@@ -103,13 +103,9 @@ def make_plan(spec: NetworkSpec) -> RepairPlan:
     denoms += [spec.alpha.denominator, spec.M.denominator]
     scale = math.lcm(*denoms) if denoms else 1
     counts = tuple(int(v * scale) for v in sol.z_star)
-    n_nc = compute_n_nc(cs.edge_index, counts, spec.failed)
-    M_scaled = int(spec.M * scale)
-    d0 = field_size_bound(spec.n, spec.k, M_scaled, n_nc)
-    q = gfalg.smallest_prime_geq(d0 + 1)
     return RepairPlan(edges=cs.edge_index, costs=tuple(costs), counts=counts, scale=scale,
                       new_node=spec.failed, lp_value=sol.value,
-                      n_nc=n_nc, d0=d0, q=q)
+                      n_nc=compute_n_nc(cs.edge_index, counts, spec.failed))
 
 
 @dataclass(frozen=True)
@@ -264,16 +260,16 @@ def run_repair(spec: NetworkSpec, seed=None, *, retries: int = DEFAULT_RETRIES) 
     """Full single-stage pipeline: constraints, LP, field choice, code
     initialization, repair execution and verification."""
     plan = make_plan(spec)
+    d0, q = code_field(spec.n, spec.k, int(spec.M * plan.scale), plan.n_nc)
     rng = random.Random(seed)
-    state, init_attempts = init_code(spec, plan.q, rng=rng, scale=plan.scale,
-                                     retries=retries)
+    state, init_attempts = init_code(spec, q, rng=rng, scale=plan.scale, retries=retries)
     _, repair_attempts = regenerate(state, plan, rng=rng, retries=retries)
     return {
         "failed": spec.failed,
         "lp_value": plan.lp_value,
         "achieved_cost": plan.achieved_cost,
-        "q": plan.q,
-        "d0": plan.d0,
+        "q": q,
+        "d0": d0,
         "n_nc": plan.n_nc,
         "scale": plan.scale,
         "rcp_ok": True,
@@ -306,10 +302,9 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
         raise CoderError("no node of this network is repairable")
     # every plan's scale is a multiple of M.denominator, so M * scale is integral
     scale = math.lcm(*(plan.scale for plan in plans.values()))
-    d0 = field_size_bound(spec.n, spec.k, int(spec.M * scale), spec.n)
-    q = gfalg.smallest_prime_geq(d0 + 1)
+    d0, q = code_field(spec.n, spec.k, int(spec.M * scale), spec.n)
     plans = {node: replace(plan, counts=tuple(c * (scale // plan.scale) for c in plan.counts),
-                           scale=scale, d0=d0, q=q)
+                           scale=scale)
              for node, plan in plans.items()}
     state, _ = init_code(spec, q, rng=rng, scale=scale, retries=retries)
     candidates = sorted(plans)
@@ -324,7 +319,7 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
             "lp_value": plan.lp_value,
             "achieved_cost": plan.achieved_cost,
             "q": q,
-            "d0": plan.d0,
+            "d0": d0,
             "n_nc": plan.n_nc,
             "rcp_ok": True,
             "repair_attempts": attempts,

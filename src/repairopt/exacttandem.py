@@ -1,9 +1,9 @@
 """Explicit exact repair for line networks via a Vandermonde code.
 
-Each node t stores the single symbol v_t = m_1 + m_2*a_t + ... +
-m_k*a_t^(k-1), the evaluation of the message polynomial at that node's
-point. A failed node is rebuilt from k helpers, k1 on its left and k2 on
-its right: each directional chain forwards exactly one running combination
+Each node t stores the single symbol v_t = m_1 + m_2*t + ... +
+m_k*t^(k-1), the evaluation of the message polynomial at the point t. A
+failed node is rebuilt from k helpers, k1 on its left and k2 on its
+right: each directional chain forwards exactly one running combination
 per hop, and the two arriving symbols sum to the lost value exactly. Every
 repair therefore costs k unit hops, meeting the line-network lower bound.
 The helper coefficients are the Lagrange basis polynomials of the helpers'
@@ -24,24 +24,23 @@ class ExactRepairError(ValueError):
 
 @dataclass(frozen=True)
 class VandermondeCode:
-    """Scalar MDS code on a line of n nodes over GF(q), q prime > n."""
+    """Scalar MDS code on a line of n nodes over GF(q), q prime > n; node t
+    evaluates at the point t."""
 
     n: int
     k: int
     q: int
-    points: tuple[int, ...]    # distinct nonzero evaluation points, one per node
     message: tuple[int, ...]   # the k file fragments
 
     def stored_symbol(self, t: int) -> int:
-        a, acc = self.points[t - 1], 0
+        acc = 0
         for m in reversed(self.message):   # Horner's rule
-            acc = (acc * a + m) % self.q
+            acc = (acc * t + m) % self.q
         return acc
 
 
-def init_vandermonde(n: int, k: int, q: int, *, points=None, message=None,
-                     seed=None) -> VandermondeCode:
-    """Build the code; points default to 1..n, message is random if absent."""
+def init_vandermonde(n: int, k: int, q: int, *, seed) -> VandermondeCode:
+    """Build the code with a random message drawn from the seed."""
     if k > n:
         raise ExactRepairError("need k <= n")
     if not gfalg.is_prime(q):
@@ -49,26 +48,11 @@ def init_vandermonde(n: int, k: int, q: int, *, points=None, message=None,
     if q <= n:
         raise ExactRepairError(f"need q > n for {n} distinct nonzero points")
     rng = random.Random(seed)
-    if points is None:
-        points = tuple(range(1, n + 1))
-    else:
-        points = tuple(p % q for p in points)
-    if len(points) != n or len(set(points)) != n or any(p == 0 for p in points):
-        raise ExactRepairError("points must be n distinct nonzero field elements")
-    if message is None:
-        message = tuple(rng.randrange(q) for _ in range(k))
-    else:
-        message = tuple(m % q for m in message)
-        if len(message) != k:
-            raise ExactRepairError(f"message must have {k} fragments")
-    return VandermondeCode(n=n, k=k, q=q, points=points, message=message)
+    return VandermondeCode(n=n, k=k, q=q, message=tuple(rng.randrange(q) for _ in range(k)))
 
 
 @dataclass(frozen=True)
 class RepairTranscript:
-    failed: int
-    k1: int
-    k2: int
     coefficients: tuple[int, ...]            # per helper, backward then forward
     hops: tuple[tuple[int, int, int], ...]   # (sender, receiver, symbol)
     restored: int
@@ -86,11 +70,11 @@ class RepairTranscript:
 def exact_repair(code: VandermondeCode, t: int, k1: int, k2: int) -> RepairTranscript:
     """Rebuild node t using k1 backward and k2 forward neighbours.
 
-    The helper coefficients solve xi' A = (1, a_t, ..., a_t^(k-1)) for the
+    The helper coefficients solve xi' A = (1, t, ..., t^(k-1)) for the
     helper Vandermonde block A: xi_j is the Lagrange basis polynomial of
-    helper j's point evaluated at a_t, the product over the other helpers
-    m of (a_t - a_m) / (a_j - a_m). Both relay chains are then walked one
-    combined symbol per hop.
+    helper j's point evaluated at t, the product over the other helpers m
+    of (t - m) / (j - m). Both relay chains are then walked one combined
+    symbol per hop.
     """
     if not (1 <= t <= code.n):
         raise ExactRepairError("failed node out of range")
@@ -103,15 +87,14 @@ def exact_repair(code: VandermondeCode, t: int, k1: int, k2: int) -> RepairTrans
     q = code.q
     backward = list(range(t - k1, t))
     forward = list(range(t + 1, t + k2 + 1))
-    points = [code.points[h - 1] for h in backward + forward]
-    at = code.points[t - 1]
+    helpers = backward + forward
     xi = []
-    for aj in points:
+    for j in helpers:
         num = den = 1
-        for am in points:
-            if am != aj:
-                num = num * (at - am) % q
-                den = den * (aj - am) % q
+        for m in helpers:
+            if m != j:
+                num = num * (t - m) % q
+                den = den * (j - m) % q
         xi.append(num * pow(den, -1, q) % q)
 
     hops: list[tuple[int, int, int]] = []
@@ -127,8 +110,7 @@ def exact_repair(code: VandermondeCode, t: int, k1: int, k2: int) -> RepairTrans
     w_back = run_chain(backward, xi[:k1], t) if k1 else 0
     w_fwd = run_chain(list(reversed(forward)), list(reversed(xi[k1:])), t) if k2 else 0
     restored = (w_back + w_fwd) % q
-    return RepairTranscript(failed=t, k1=k1, k2=k2, coefficients=tuple(xi),
-                            hops=tuple(hops), restored=restored,
+    return RepairTranscript(coefficients=tuple(xi), hops=tuple(hops), restored=restored,
                             expected=code.stored_symbol(t))
 
 

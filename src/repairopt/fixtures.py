@@ -43,9 +43,9 @@ def complete5_cost3() -> NetworkSpec:
                           overrides=overrides)
 
 
-def star6(M=6, alpha=2, k=3) -> NetworkSpec:
+def star6(M=6, alpha=2) -> NetworkSpec:
     """Six-node star, center 2, non-central node 1 fails."""
-    return build_topology("star", 6, k=k, M=M, alpha=alpha, center=2, failed=1)
+    return build_topology("star", 6, k=3, M=M, alpha=alpha, center=2, failed=1)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
 
 
 class TopologyError(ValueError):
@@ -26,11 +25,14 @@ class TopologyError(ValueError):
 
 
 def parse_rational(value) -> Fraction | None:
-    """Parse an integer, a "p/q" string, or "inf" (returned as None)."""
+    """Parse an integer, a "p/q" string, or "inf" (returned as None). A
+    boolean is refused, not read as 0 or 1."""
     if value is None:
         return None
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TopologyError(f"cannot parse rational {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     text = str(value).strip().lower()
@@ -138,9 +140,6 @@ class CostMatrix:
             and self._cost == other._cost
         )
 
-    def __repr__(self):
-        return f"CostMatrix(n={self.n}, edges={len(self._cost)})"
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -245,7 +244,8 @@ def _orient_toward(links: set[frozenset[int]], n: int, target: int) -> list[tupl
 
     Ties (equal distance) break low-id -> high-id, which keeps the digraph
     acyclic: cross-level edges strictly decrease the distance and same-level
-    edges follow a fixed total order.
+    edges follow a fixed total order. Every generated topology is
+    connected, so the BFS reaches both ends of every link.
     """
     adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
     for link in links:
@@ -260,19 +260,7 @@ def _orient_toward(links: set[frozenset[int]], n: int, target: int) -> list[tupl
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    oriented = []
-    for link in links:
-        a, b = sorted(link)
-        da, db = dist.get(a), dist.get(b)
-        if da is None or db is None:
-            continue
-        if da > db:
-            oriented.append((a, b))
-        elif db > da:
-            oriented.append((b, a))
-        else:
-            oriented.append((a, b))
-    return sorted(oriented)
+    return sorted((b, a) if dist[b] > dist[a] else (a, b) for a, b in map(sorted, links))
 
 
 def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = None,

@@ -213,7 +213,7 @@ def test_criterion_7_exact_tandem():
                                  trials_per_config):
         for _ in range(trials):
             message = tuple(rng.randrange(q) for _ in range(k))
-            code = exacttandem.init_vandermonde(n, k, q, message=message)
+            code = exacttandem.VandermondeCode(n, k, q, message)
             t = rng.randrange(1, n + 1)
             k1 = rng.randint(max(0, k - (n - t)), min(k, t - 1))
             transcript = exacttandem.exact_repair(code, t, k1, k - k1)

@@ -1,6 +1,8 @@
 import errno
 import gc
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,6 +22,17 @@ def run(*args, env=None):
 
 TANDEM = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",
           "--alpha", "2", "--failed", "4")
+
+
+def test_cli_import_loads_every_traced_layer():
+    """The benchmark's tracer wraps the modules in its LAYERS as they stand
+    in sys.modules; the package root loads none of them, so they must be
+    loaded by importing the CLI, which the benchmark does first."""
+    script = ("import sys; sys.path[:0] = ['perfbench', 'src']; import tracer, repairopt.cli; "
+              "print(*[m for m in tracer.LAYERS if 'repairopt.' + m not in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            cwd=Path(__file__).resolve().parent.parent, check=True)
+    assert result.stdout.split() == []
 
 
 class TestTopologyGen:
@@ -279,11 +292,12 @@ class TestSpecRoundTrip:
         assert cells["closed_form"] == "" and cells["gain_paper"] == ""
         assert cells["baseline"] == "4"
 
-    @pytest.mark.parametrize("change", ["cost", "helpers", "list", "alpha"])
+    @pytest.mark.parametrize("change", ["cost", "helpers", "list", "alpha", "bool"])
     def test_malformed_document_is_a_usage_error(self, change, tmp_path):
         doc = json.loads(run("topology", "gen", *TANDEM).output)
         doc = {"cost": dict(doc, cost=5), "helpers": dict(doc, helpers=None),
-               "list": [doc], "alpha": dict(doc, alpha="inf")}[change]
+               "list": [doc], "alpha": dict(doc, alpha="inf"),
+               "bool": dict(doc, alpha=True)}[change]
         path = tmp_path / "network.json"
         path.write_text(json.dumps(doc))
         result = run("solve", "--spec", str(path))

@@ -7,15 +7,15 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from oracles import reference_rcp
 
-from repairopt import coder
+from repairopt import coder, gfalg
 from repairopt.cli import main
 from repairopt.coder import (
     CodeState,
     CoderError,
     PlanInfeasibleError,
     RetryExhaustedError,
+    code_field,
     compute_n_nc,
-    field_size_bound,
     init_code,
     make_plan,
     regenerate,
@@ -55,9 +55,9 @@ class TestEncodingDepth:
             compute_n_nc(((1, 2),), (0,), 2)
 
     def test_field_size_bound(self):
-        assert field_size_bound(4, 2, 4, 3) == 72
+        assert code_field(4, 2, 4, 3) == (72, 73)
         with pytest.raises(ValueError):
-            field_size_bound(2, 3, 4, 2)
+            code_field(2, 3, 4, 2)
 
 
 class TestPlans:
@@ -67,7 +67,7 @@ class TestPlans:
         assert plan.scale == 1
         assert plan.counts == (0, 2, 2)
         assert plan.n_nc == 3
-        assert plan.d0 == 72 and plan.q == 73
+        assert code_field(spec.n, spec.k, 4, plan.n_nc) == (72, 73)
         assert plan.achieved_cost == plan.lp_value == 4
 
     def test_grid_plan_scales_thirds(self):
@@ -76,7 +76,8 @@ class TestPlans:
         assert plan.lp_value == Fraction(20, 3)
         assert plan.scale == 3
         assert plan.achieved_cost == Fraction(20, 3)
-        assert plan.q > plan.d0
+        d0, q = code_field(spec.n, spec.k, int(spec.M * plan.scale), plan.n_nc)
+        assert q > d0
 
     def test_achieved_cost_follows_the_counts(self):
         """A rescale that scales the counts but not the scale, or the other
@@ -247,14 +248,14 @@ class TestRegenerate:
     def test_plan_state_mismatches(self):
         spec = tandem4()
         plan = make_plan(spec)
-        state, _ = init_code(spec, plan.q, rng=random.Random(1))
+        state, _ = init_code(spec, 73, rng=random.Random(1))
         with pytest.raises(CoderError):
             regenerate(state, replace(plan, scale=2), rng=random.Random(1))
 
     def test_underfed_plan_rejected(self):
         spec = tandem4()
         plan = make_plan(spec)
-        state, _ = init_code(spec, plan.q, rng=random.Random(1))
+        state, _ = init_code(spec, 73, rng=random.Random(1))
         with pytest.raises(PlanInfeasibleError):
             regenerate(state, replace(plan, counts=(0, 2, 1)), rng=random.Random(1))
 
@@ -290,6 +291,15 @@ class TestSimulation:
         assert len({r["q"] for r in reports}) == 1
         assert all(r["rcp_ok"] for r in reports)
 
+    def test_one_field_search_for_all_stages(self, monkeypatch):
+        """Plans choose no field; simulate chooses one, from n_nc <= n."""
+        real, searched = gfalg.smallest_prime_geq, []
+        monkeypatch.setattr(gfalg, "smallest_prime_geq",
+                            lambda x: searched.append(x) or real(x))
+        spec = build_topology("grid", 6, k=3, M=6, alpha=2, rows=2, cols=3)
+        reports = simulate_stages(spec, 10, seed=0)
+        assert searched == [reports[0]["d0"] + 1]
+
     def test_needs_a_stage(self):
         with pytest.raises(CoderError):
             simulate_stages(tandem4(), 0, seed=0)
@@ -316,7 +326,7 @@ class TestRetryContract:
     def test_regenerate_retries_until_rcp_holds(self, monkeypatch):
         spec = tandem4()
         plan = make_plan(spec)
-        state, _ = init_code(spec, plan.q, rng=random.Random(1))
+        state, _ = init_code(spec, 73, rng=random.Random(1))
         calls = self.fail_after(monkeypatch, 0, 2)
         repaired, attempts = regenerate(state, plan, rng=random.Random(1))
         assert attempts == 3 and len(calls) == 3
@@ -325,7 +335,7 @@ class TestRetryContract:
     def test_regenerate_gives_up_after_retries(self, monkeypatch):
         spec = tandem4()
         plan = make_plan(spec)
-        state, _ = init_code(spec, plan.q, rng=random.Random(1))
+        state, _ = init_code(spec, 73, rng=random.Random(1))
         self.fail_after(monkeypatch, 0, 2)
         with pytest.raises(RetryExhaustedError):
             regenerate(state, plan, rng=random.Random(1), retries=2)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import leibniz_det, trial_division_is_prime
 
-from repairopt.coder import make_plan, simulate_stages
+from repairopt.coder import code_field, make_plan, simulate_stages
 from repairopt.fixtures import BUILDERS
 from repairopt.gfalg import (
     PRIME_SEARCH_LIMIT,
@@ -47,7 +47,9 @@ def field_bounds():
     specs += [build_topology("grid", 9, k=4, M=8, alpha=2, rows=3, cols=3, failed=f)
               for f in (9, 1, 5)]
     sim = build_topology("grid", 6, k=3, M=6, alpha=2, rows=2, cols=3)
-    return ([make_plan(spec).d0 for spec in specs]
+    plans = [(spec, make_plan(spec)) for spec in specs]
+    return ([code_field(spec.n, spec.k, int(spec.M * plan.scale), plan.n_nc)[0]
+             for spec, plan in plans]
             + [simulate_stages(sim, 1, seed=0)[0]["d0"]])
 
 

@@ -27,7 +27,7 @@ import pytest
 from click.testing import CliRunner
 
 from repairopt.cli import main
-from repairopt.coder import init_code, make_plan, regenerate
+from repairopt.coder import code_field, init_code, make_plan, regenerate
 from repairopt.fixtures import BUILDERS
 from repairopt.netmodel import spec_to_json
 
@@ -183,7 +183,8 @@ REPAIRED = {
 def repaired_digest(name) -> str:
     spec = BUILDERS[name]()
     plan = make_plan(spec)
-    state, _ = init_code(spec, plan.q, rng=random.Random(7), scale=plan.scale)
+    _, q = code_field(spec.n, spec.k, int(spec.M * plan.scale), plan.n_nc)
+    state, _ = init_code(spec, q, rng=random.Random(7), scale=plan.scale)
     repaired, _ = regenerate(state, plan, rng=random.Random(7))
     return hashlib.sha256(repr(repaired.columns).encode()).hexdigest()
 

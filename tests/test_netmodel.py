@@ -100,6 +100,23 @@ class TestTopologies:
         for (i, j) in spec.cost.edges():
             assert j == 5 or i < j
 
+    # (kind, n, params, undirected links) of every generator with n <= 12
+    NETWORKS = ([("tandem", n, {}, n - 1) for n in range(3, 13)]
+                + [("star", n, {"center": c}, n - 1)
+                   for n in range(3, 13) for c in range(1, n + 1)]
+                + [("grid", r * c, {"rows": r, "cols": c}, r * (c - 1) + c * (r - 1))
+                   for r, c in ((2, 3), (3, 3), (3, 4))]
+                + [("complete", n, {}, n * (n - 1) // 2) for n in range(3, 13)])
+
+    def test_every_link_oriented_at_every_failure(self):
+        """Each generated network is connected, so orienting it toward any
+        failed node keeps every link and lets every node reach that node."""
+        for kind, n, params, links in self.NETWORKS:
+            for failed in range(1, n + 1):
+                spec = build_topology(kind, n, k=1, M=1, failed=failed, **params)
+                assert len(spec.cost.edges()) == links, (kind, params, failed)
+                assert len(spec.cost.costs_to(failed)) == n, (kind, params, failed)
+
     def test_overrides_apply_either_endpoint_order(self):
         spec = build_topology("complete", 5, k=3, M=6, alpha=2, failed=5,
                               overrides={(5, 1): Fraction(3)})
@@ -310,7 +327,9 @@ class TestRespecAndJson:
     @pytest.mark.parametrize("change", [
         {"cost": 5}, {"helpers": None}, {"alpha": "inf"}, {"n": None},
         {"params": [1]}, {"kind": "ring"}, {"n": float("inf")}, {"failed": 3.5},
-        {"helpers": [1, 2, True]}])
+        {"helpers": [1, 2, True]}, {"alpha": True}, {"M": False},
+        {"cost": [["0", True, "inf", "inf"], ["inf", "0", "1", "inf"],
+                  ["inf", "inf", "0", "1"], ["inf", "inf", "inf", "0"]]}])
     def test_json_malformed_field(self, change):
         doc = spec_to_json(build_topology("tandem", 4, k=2, M=4, failed=4))
         with pytest.raises(TopologyError):
