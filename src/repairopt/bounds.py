@@ -15,13 +15,6 @@ from .lpcore import LPError, solve_min_cost
 from .netmodel import NetworkSpec, baseline_cost
 
 
-def msr_beta(M, k: int, d: int) -> Fraction:
-    """Per-helper download at the minimum-storage point: M / (k (d-k+1))."""
-    if d < k:
-        raise ValueError("need d >= k")
-    return Fraction(M) / (k * (d - k + 1))
-
-
 def _pos(x: Fraction) -> Fraction:
     return x if x > 0 else Fraction(0)
 
@@ -90,6 +83,7 @@ def paper_gain_for(spec: NetworkSpec) -> Fraction | None:
 def compare_lp_to_bounds(spec: NetworkSpec) -> GainReport:
     """Solve the LP and report baseline, optimum, gain, the closed form and
     the published gain."""
+    spec.require_msr()
     sol = solve_min_cost(*repair_cuts(spec))
     if sol.status != "optimal":
         raise LPError(f"LP did not solve: {sol.status}")

@@ -105,7 +105,8 @@ class _Command(click.Command):
 
     A ValueError is the package's word for input it cannot use, and an
     OSError one for a path it cannot read or write: either is a usage
-    error, exit 2. A coder that gives up (CoderError) prints
+    error, exit 2. A coder that gives up (RetryExhaustedError, raised
+    only when every random draw failed the any-k check) prints
     "<command> failed: <message>" and exits 1. Any other exception is a
     bug and keeps its traceback."""
 
@@ -116,7 +117,7 @@ class _Command(click.Command):
             raise                  # a closed stdout, which click's main handles
         except (ValueError, OSError) as exc:
             raise click.UsageError(str(exc), ctx) from exc
-        except coder.CoderError as exc:
+        except coder.RetryExhaustedError as exc:
             _echo(f"{ctx.info_name} failed: {exc}", err=True)
             sys.exit(1)
 

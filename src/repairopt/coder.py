@@ -16,6 +16,10 @@ prefix's span; init_code checks all C(n, k) subsets, regenerate only the
 C(n-1, k-1) that contain the repaired node, the only ones a repair can
 break. A plan carries its edges, their link costs and its new node, so
 regenerate takes no network spec.
+
+Input the coder cannot use raises a ValueError (TopologyError, LPError
+or a plain one); RetryExhaustedError, the one error this module defines,
+means only that random coding gave up.
 """
 
 from __future__ import annotations
@@ -27,19 +31,11 @@ from fractions import Fraction
 
 from . import gfalg
 from .flowgraph import FlowGraphError, repair_cuts
-from .lpcore import solve_min_cost
+from .lpcore import LPError, solve_min_cost
 from .netmodel import NetworkSpec, TopologyError, respec_failure, topological_order
 
 
-class CoderError(RuntimeError):
-    pass
-
-
-class PlanInfeasibleError(CoderError):
-    """The subgraph does not deliver enough fragments to the new node."""
-
-
-class RetryExhaustedError(CoderError):
+class RetryExhaustedError(RuntimeError):
     """Random coding failed to satisfy the code property within the budget."""
 
 
@@ -73,7 +69,7 @@ def compute_n_nc(edges, counts, new_node: int) -> int:
     the new node (the new node itself counts as one encoder)."""
     active = [e for e, c in zip(edges, counts) if c > 0]
     if not active:
-        raise CoderError("empty repair plan")
+        raise ValueError("empty repair plan")
     depth = {v: 0 for e in active for v in e}
     for v in topological_order(depth, active):
         for i, j in active:
@@ -95,10 +91,11 @@ def code_field(n: int, k: int, M_s: int, n_nc: int) -> tuple[int, int]:
 def make_plan(spec: NetworkSpec) -> RepairPlan:
     """Solve the repair LP and scale its optimal vertex to integral
     subfragment counts."""
+    spec.require_msr()
     cs, costs = repair_cuts(spec)
     sol = solve_min_cost(cs, costs)
     if sol.status != "optimal":
-        raise CoderError(f"cannot plan from LP status {sol.status}")
+        raise LPError(f"LP did not solve: {sol.status}")
     denoms = [v.denominator for v in sol.z_star]
     denoms += [spec.alpha.denominator, spec.M.denominator]
     scale = math.lcm(*denoms) if denoms else 1
@@ -110,15 +107,23 @@ def make_plan(spec: NetworkSpec) -> RepairPlan:
 
 @dataclass(frozen=True)
 class CodeState:
-    """Per-node coding coefficients over GF(q), at subfragment granularity."""
+    """Per-node coding coefficients over GF(q), at subfragment granularity,
+    at the minimum-storage point: the file is k * alpha_s subfragments."""
 
     q: int
-    n: int
     k: int
-    M_s: int      # file size in subfragments
     alpha_s: int  # stored subfragments per node
     scale: int
     columns: tuple[tuple[tuple[int, ...], ...], ...]  # [node-1][col][row]
+
+    @property
+    def n(self) -> int:
+        return len(self.columns)
+
+    @property
+    def M_s(self) -> int:
+        """The file size in subfragments."""
+        return self.k * self.alpha_s
 
 
 def verify_rcp(state: CodeState, through: int | None = None):
@@ -139,8 +144,6 @@ def verify_rcp(state: CodeState, through: int | None = None):
     through a node puts that node first.
     """
     q, k, alpha = state.q, state.k, state.alpha_s
-    if state.M_s != k * alpha:
-        raise CoderError("RCP check requires the minimum-storage regime alpha = M/k")
     order = list(range(1, state.n + 1))
     if through is not None:
         order.remove(through)
@@ -179,17 +182,14 @@ def _random_columns(rng: random.Random, q: int, nrows: int, ncols: int):
 def init_code(spec: NetworkSpec, q: int, *, rng: random.Random, scale: int = 1,
               retries: int = DEFAULT_RETRIES) -> tuple[CodeState, int]:
     """Random initial code with the any-k property; returns (state, attempts)."""
-    M_s = spec.M * scale
+    spec.require_msr()
     alpha_s = spec.alpha * scale
-    if M_s.denominator != 1 or alpha_s.denominator != 1:
-        raise CoderError("scale does not make M and alpha integral")
-    M_s, alpha_s = int(M_s), int(alpha_s)
-    if M_s != spec.k * alpha_s:
-        raise CoderError("coder requires the minimum-storage regime alpha = M/k")
+    if alpha_s.denominator != 1:
+        raise ValueError("scale leaves alpha fractional")
+    alpha_s = int(alpha_s)
     for attempt in range(1, retries + 1):
-        cols = tuple(_random_columns(rng, q, M_s, alpha_s) for _ in range(spec.n))
-        state = CodeState(q=q, n=spec.n, k=spec.k, M_s=M_s, alpha_s=alpha_s,
-                          scale=scale, columns=cols)
+        cols = tuple(_random_columns(rng, q, spec.k * alpha_s, alpha_s) for _ in range(spec.n))
+        state = CodeState(q=q, k=spec.k, alpha_s=alpha_s, scale=scale, columns=cols)
         ok, _ = verify_rcp(state)
         if ok:
             return state, attempt
@@ -221,14 +221,14 @@ def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
     it can lose the property, and those are the only ones checked.
     """
     if plan.scale != state.scale:
-        raise CoderError("plan granularity does not match the code state")
-    q = state.q
+        raise ValueError("plan granularity does not match the code state")
+    q, M_s = state.q, state.M_s
     active = plan.active_edges()
     if not active:
-        raise PlanInfeasibleError("empty repair plan")
+        raise ValueError("empty repair plan")
     inflow = sum(c for (_, j), c in active if j == plan.new_node)
     if inflow < state.alpha_s:
-        raise PlanInfeasibleError(
+        raise ValueError(
             f"plan delivers {inflow} subfragments, new node stores {state.alpha_s}")
     edges = [e for e, _ in active]
     order = topological_order({v for e in edges for v in e}, edges)
@@ -242,14 +242,12 @@ def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
             for (i, j), count in active:
                 if i == node:
                     received.setdefault(j, []).extend(
-                        _combine(rng, pool, state.M_s, q) for _ in range(count))
+                        _combine(rng, pool, M_s, q) for _ in range(count))
         pool = received.get(plan.new_node, [])
         columns = list(state.columns)
         columns[plan.new_node - 1] = tuple(
-            _combine(rng, pool, state.M_s, q) for _ in range(state.alpha_s))
-        candidate = CodeState(q=q, n=state.n, k=state.k, M_s=state.M_s,
-                              alpha_s=state.alpha_s, scale=state.scale,
-                              columns=tuple(columns))
+            _combine(rng, pool, M_s, q) for _ in range(state.alpha_s))
+        candidate = replace(state, columns=tuple(columns))
         ok, _ = verify_rcp(candidate, plan.new_node)
         if ok:
             return candidate, attempt
@@ -290,7 +288,8 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
     alive across all stages even when some optima are fractional.
     """
     if T < 1:
-        raise CoderError("need at least one stage")
+        raise ValueError("need at least one stage")
+    spec.require_msr()  # before the loop, which skips a position that raises TopologyError
     rng = random.Random(seed)
     plans: dict[int, RepairPlan] = {}
     for node in range(1, spec.n + 1):
@@ -299,7 +298,7 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
         except (TopologyError, FlowGraphError):
             continue
     if not plans:
-        raise CoderError("no node of this network is repairable")
+        raise TopologyError("no node of this network is repairable")
     # every plan's scale is a multiple of M.denominator, so M * scale is integral
     scale = math.lcm(*(plan.scale for plan in plans.values()))
     d0, q = code_field(spec.n, spec.k, int(spec.M * scale), spec.n)

@@ -97,19 +97,15 @@ def exact_repair(code: VandermondeCode, t: int, k1: int, k2: int) -> RepairTrans
                 den = den * (j - m) % q
         xi.append(num * pow(den, -1, q) % q)
 
+    coeff = dict(zip(helpers, xi))
     hops: list[tuple[int, int, int]] = []
-
-    def run_chain(chain: list[int], coeffs: list[int], toward: int) -> int:
+    restored = 0
+    for chain in (backward, forward[::-1]):   # each chain ends at t
         acc = 0
-        for idx, node in enumerate(chain):
-            acc = (acc + coeffs[idx] * code.stored_symbol(node)) % q
-            nxt = chain[idx + 1] if idx + 1 < len(chain) else toward
+        for node, nxt in zip(chain, chain[1:] + [t]):
+            acc = (acc + coeff[node] * code.stored_symbol(node)) % q
             hops.append((node, nxt, acc))
-        return acc
-
-    w_back = run_chain(backward, xi[:k1], t) if k1 else 0
-    w_fwd = run_chain(list(reversed(forward)), list(reversed(xi[k1:])), t) if k2 else 0
-    restored = (w_back + w_fwd) % q
+        restored = (restored + acc) % q
     return RepairTranscript(coefficients=tuple(xi), hops=tuple(hops), restored=restored,
                             expected=code.stored_symbol(t))
 

@@ -145,8 +145,8 @@ class CostMatrix:
 class NetworkSpec:
     """Storage system parameters plus the repair scenario.
 
-    alpha = M/k flags the minimum-storage regime that the coder targets;
-    other (alpha, M) combinations are legal for planning only.
+    alpha = M/k is the minimum-storage regime that the baseline and the
+    coder require; other (alpha, M) combinations are legal for planning only.
     """
 
     n: int
@@ -184,11 +184,20 @@ class NetworkSpec:
     def survivors(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.n + 1) if v != self.failed)
 
-    def is_msr(self) -> bool:
-        return self.alpha == self.M / self.k
+    def require_msr(self) -> None:
+        """Refuse a spec off the minimum-storage point."""
+        if self.alpha != self.M / self.k:
+            raise TopologyError("need the minimum-storage regime alpha = M/k")
 
     def param(self, name: str) -> int | None:
         return dict(self.params).get(name)
+
+
+def msr_beta(M, k: int, d: int) -> Fraction:
+    """Per-helper download at the minimum-storage point: M / (k (d-k+1))."""
+    if d < k:
+        raise ValueError("need d >= k")
+    return Fraction(M) / (k * (d - k + 1))
 
 
 def baseline_cost(spec: NetworkSpec) -> Fraction:
@@ -197,10 +206,7 @@ def baseline_cost(spec: NetworkSpec) -> Fraction:
     Each helper ships beta fragments along its cheapest route to the new
     node; relays forward without combining.
     """
-    from .bounds import msr_beta
-
-    if not spec.is_msr():
-        raise TopologyError("baseline is defined for the minimum-storage regime alpha = M/k")
+    spec.require_msr()
     dist = spec.cost.costs_to(spec.failed)  # NetworkSpec checked every helper is in it
     return msr_beta(spec.M, spec.k, spec.d) * sum(dist[h] for h in spec.helpers)
 
@@ -310,20 +316,22 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
                        helpers=helpers, cost=cm, kind=kind, params=tuple(params))
 
 
-def _cost_overrides(cost: CostMatrix) -> dict[tuple[int, int], Fraction]:
-    """The links whose cost differs from the generated unit cost."""
-    return {(i, j): c for (i, j) in cost.edges() if (c := cost.cost(i, j)) != 1}
+def _rebuild(spec: NetworkSpec, *, failed: int, d: int | None = None,
+             helpers=None) -> NetworkSpec:
+    """Generate the spec's kind and params again at the given failure, with
+    every link cost other than the generated unit cost as an override."""
+    overrides = {(i, j): c for (i, j) in spec.cost.edges() if (c := spec.cost.cost(i, j)) != 1}
+    return build_topology(spec.kind, spec.n, k=spec.k, M=spec.M, alpha=spec.alpha, d=d,
+                          failed=failed, helpers=helpers, center=spec.param("center"),
+                          rows=spec.param("rows"), cols=spec.param("cols"),
+                          overrides=overrides)
 
 
 def _kind_matches(spec: NetworkSpec) -> bool:
     """Whether the spec's kind and params, with its non-unit link costs as
     overrides, generate exactly its cost matrix."""
     try:
-        built = build_topology(
-            spec.kind, spec.n, k=spec.k, M=spec.M, alpha=spec.alpha,
-            failed=spec.failed, helpers=spec.helpers, center=spec.param("center"),
-            rows=spec.param("rows"), cols=spec.param("cols"),
-            overrides=_cost_overrides(spec.cost))
+        built = _rebuild(spec, failed=spec.failed, helpers=spec.helpers)
     except TopologyError:
         return False
     return built.cost == spec.cost and dict(built.params) == dict(spec.params)
@@ -339,10 +347,7 @@ def respec_failure(spec: NetworkSpec, failed: int) -> NetworkSpec:
         if failed != spec.failed:
             raise TopologyError("cannot re-derive a custom topology for a new failure")
         return spec
-    return build_topology(
-        spec.kind, spec.n, k=spec.k, M=spec.M, alpha=spec.alpha, d=spec.d,
-        failed=failed, center=spec.param("center"), rows=spec.param("rows"),
-        cols=spec.param("cols"), overrides=_cost_overrides(spec.cost))
+    return _rebuild(spec, failed=failed, d=spec.d)
 
 
 def spec_to_json(spec: NetworkSpec) -> dict:

@@ -168,7 +168,7 @@ def test_criterion_5_code_achieves_optimum():
     checks = []
     for name in sorted(BUILDERS):
         spec = BUILDERS[name]()
-        if not spec.is_msr():
+        if spec.alpha != spec.M / spec.k:
             continue
         rep = coder.run_repair(spec, seed=2024)
         d0 = rep["d0"]

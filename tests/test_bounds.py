@@ -7,13 +7,12 @@ from repairopt.bounds import (
     compare_lp_to_bounds,
     gain_star_noncentral,
     gain_tandem_endnode,
-    msr_beta,
     paper_gain_for,
     star_lower_bound,
     tandem_lower_bound,
 )
 from repairopt.fixtures import complete5_unit, grid2x3, star6, tandem4
-from repairopt.netmodel import build_topology
+from repairopt.netmodel import build_topology, msr_beta
 
 
 class TestFormulas:

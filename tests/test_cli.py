@@ -8,6 +8,7 @@ from pathlib import Path
 
 import click.testing
 import pytest
+import test_coder
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -326,10 +327,32 @@ class TestCleanErrors:
     def test_enumeration_cap(self, command):
         self.usage_error(run(command, *self.BIG), "cut enumeration is exponential")
 
-    def test_bounds_of_infeasible_lp(self):
-        starved = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",
-                   "--alpha", "1")
-        self.usage_error(run("bounds", *starved), "LP did not solve: infeasible")
+    @staticmethod
+    def starved_spec(tmp_path) -> str:
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(test_coder.STARVED_DOC))
+        return str(path)
+
+    def test_bounds_of_infeasible_lp(self, tmp_path):
+        self.usage_error(run("bounds", "--spec", self.starved_spec(tmp_path)),
+                         "LP did not solve: infeasible")
+
+    @pytest.mark.parametrize("network", ["alpha 1", "alpha 3", "starved"])
+    def test_refusals_agree_across_commands(self, network, tmp_path):
+        """bounds, code and simulate refuse a network off the minimum-storage
+        point, or one without an LP optimum, with one usage error."""
+        if network == "starved":
+            flags = ("--spec", self.starved_spec(tmp_path))
+        else:
+            flags = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",
+                     "--alpha", network.split()[1])
+        errors = set()
+        for command in ("bounds", "code", "simulate"):
+            result = run(command, *flags)
+            assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+            assert f"{command} failed" not in result.stderr
+            errors |= {line for line in result.stderr.splitlines() if line.startswith("Error:")}
+        assert len(errors) == 1, errors
 
     @pytest.mark.parametrize("flags, message", [
         (("--M", "inf"), "alpha and M must be finite"),
@@ -355,12 +378,11 @@ class TestCleanErrors:
         assert result.exit_code == 2 and "Error: [Errno" in result.output
 
     @pytest.mark.parametrize("command", ["code", "simulate"])
-    def test_coder_failure_names_the_command(self, command):
-        off_regime = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",
-                      "--alpha", "3")
-        result = run(command, *off_regime)
+    def test_coder_failure_names_the_command(self, command, monkeypatch):
+        test_coder.TestRetryContract.fail_after(monkeypatch, 0, 2)
+        result = run(command, *TANDEM, "--retries", "2")
         assert result.exit_code == 1
-        assert result.stderr.startswith(f"{command} failed: coder requires")
+        assert result.stderr.startswith(f"{command} failed: no valid initial code in 2 attempts")
 
 
 NETWORK_COMMANDS = (("topology", "gen"), ("constraints",), ("solve",), ("bounds",),

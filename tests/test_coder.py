@@ -11,8 +11,6 @@ from repairopt import coder, gfalg
 from repairopt.cli import main
 from repairopt.coder import (
     CodeState,
-    CoderError,
-    PlanInfeasibleError,
     RetryExhaustedError,
     code_field,
     compute_n_nc,
@@ -24,7 +22,8 @@ from repairopt.coder import (
     verify_rcp,
 )
 from repairopt.fixtures import BUILDERS, complete5_cost3, grid2x3, star6, tandem4
-from repairopt.netmodel import build_topology
+from repairopt.lpcore import LPError
+from repairopt.netmodel import TopologyError, build_topology, spec_from_json
 
 # worked 4-node line example, coefficient order (a1, b1, a2, b2)
 NODE1 = [(1, 0, 0, 0), (0, 1, 0, 0)]
@@ -36,8 +35,14 @@ NODE4 = [(1, 2, 3, 1), (3, 2, 2, 3)]
 def code_state(q, k, node_columns):
     """A CodeState over GF(q) from explicit per-node coefficient columns."""
     cols = tuple(tuple(tuple(c) for c in node) for node in node_columns)
-    return CodeState(q=q, n=len(cols), k=k, M_s=len(cols[0][0]),
-                     alpha_s=len(cols[0]), scale=1, columns=cols)
+    return CodeState(q=q, k=k, alpha_s=len(cols[0]), scale=1, columns=cols)
+
+
+# minimum storage, but helper 2 reaches node 4 only through the non-helper
+# 3, so the cut row for K = {1} is empty with a positive rhs: no LP optimum
+STARVED_DOC = {"n": 4, "k": 2, "d": 2, "alpha": "2", "M": "4", "failed": 4, "helpers": [1, 2],
+               "cost": [["0", "inf", "inf", "1"], ["inf", "0", "1", "inf"],
+                        ["inf", "inf", "0", "1"], ["inf", "inf", "inf", "0"]]}
 
 
 class TestEncodingDepth:
@@ -51,7 +56,7 @@ class TestEncodingDepth:
         assert compute_n_nc(edges, (1, 1, 1), 5) == 2
 
     def test_empty_plan_rejected(self):
-        with pytest.raises(CoderError):
+        with pytest.raises(ValueError, match="empty repair plan"):
             compute_n_nc(((1, 2),), (0,), 2)
 
     def test_field_size_bound(self):
@@ -90,9 +95,13 @@ class TestPlans:
         assert replace(plan, scale=2).achieved_cost == Fraction(9, 2)
 
     def test_plan_requires_optimal(self):
-        # alpha = 1 < M/k: no repair subgraph meets every cut
-        spec = build_topology("tandem", 4, k=2, M=4, alpha=1, failed=4)
-        with pytest.raises(CoderError, match="infeasible"):
+        with pytest.raises(LPError, match="LP did not solve: infeasible"):
+            make_plan(spec_from_json(STARVED_DOC))
+
+    @pytest.mark.parametrize("alpha", [1, 3])
+    def test_plan_requires_minimum_storage(self, alpha):
+        spec = build_topology("tandem", 4, k=2, M=4, alpha=alpha, failed=4)
+        with pytest.raises(TopologyError, match="minimum-storage"):
             make_plan(spec)
 
 
@@ -218,11 +227,6 @@ class TestVerifyRcp:
         assert verify_rcp(state) == reference_rcp(*args)
         assert verify_rcp(state, t) == reference_rcp(*args, through=t)
 
-    def test_requires_minimum_storage(self):
-        state = code_state(11, 1, [NODE1, NODE2])  # M_s = 4, k * alpha_s = 2
-        with pytest.raises(CoderError):
-            verify_rcp(state)
-
 
 class TestInitCode:
     def test_init_holds_rcp(self):
@@ -232,7 +236,7 @@ class TestInitCode:
 
     def test_requires_minimum_storage(self):
         spec = star6(M=9, alpha=2)  # alpha != M/k
-        with pytest.raises(CoderError):
+        with pytest.raises(TopologyError, match="minimum-storage"):
             init_code(spec, 73, rng=random.Random(0))
 
     def test_retry_exhaustion(self):
@@ -249,14 +253,14 @@ class TestRegenerate:
         spec = tandem4()
         plan = make_plan(spec)
         state, _ = init_code(spec, 73, rng=random.Random(1))
-        with pytest.raises(CoderError):
+        with pytest.raises(ValueError, match="granularity"):
             regenerate(state, replace(plan, scale=2), rng=random.Random(1))
 
     def test_underfed_plan_rejected(self):
         spec = tandem4()
         plan = make_plan(spec)
         state, _ = init_code(spec, 73, rng=random.Random(1))
-        with pytest.raises(PlanInfeasibleError):
+        with pytest.raises(ValueError, match="plan delivers 1 subfragments"):
             regenerate(state, replace(plan, counts=(0, 2, 1)), rng=random.Random(1))
 
 
@@ -301,7 +305,7 @@ class TestSimulation:
         assert searched == [reports[0]["d0"] + 1]
 
     def test_needs_a_stage(self):
-        with pytest.raises(CoderError):
+        with pytest.raises(ValueError, match="at least one stage"):
             simulate_stages(tandem4(), 0, seed=0)
 
 

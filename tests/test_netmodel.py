@@ -133,7 +133,7 @@ class TestTopologies:
     def test_alpha_defaults_to_msr(self):
         spec = build_topology("tandem", 4, k=2, M=4, failed=4)
         assert spec.alpha == 2
-        assert spec.is_msr()
+        spec.require_msr()
 
 
 class TestSpecValidation:

@@ -1,6 +1,7 @@
 """The package's surface holds nothing without a caller: no unused import,
-no re-export from the package root, and no defaulted parameter that only
-tests set. Read with the stdlib ast module; nothing is imported."""
+no re-export from the package root, no import inside a function (where it
+would hide an import cycle), and no defaulted parameter that only tests
+set. Read with the stdlib ast module; nothing is imported."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,13 @@ def test_no_unused_imports():
 def test_package_root_imports_nothing():
     init = PACKAGE[ROOT / "src" / "repairopt" / "__init__.py"]
     assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(init))
+
+
+def test_no_import_inside_a_function():
+    inner = [f"{path.name}: {fn.name}" for path, module in PACKAGE.items()
+             for fn in ast.walk(module) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inner == []
 
 
 def test_every_default_is_set_by_a_caller():
