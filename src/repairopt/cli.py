@@ -11,6 +11,8 @@ import functools
 import inspect
 import json
 import sys
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -54,8 +56,49 @@ def _echo(text: str, err: bool = False) -> None:
 
 
 def _json(payload) -> str:
-    """The JSON text of every report, with each Fraction as a "p/q" string."""
-    return json.dumps(payload, indent=2, default=format_rational)
+    """The JSON text of every report, with each Fraction as a "p/q" string:
+    the text of json.dumps(payload, indent=2, default=format_rational)."""
+    return _encode(payload, "\n")
+
+
+def _encode(value, newline: str) -> str:
+    """The JSON text of value at the nesting level whose line break and
+    indent is newline.
+
+    json.dumps encodes in pure Python when it indents; this writes the
+    same text directly. It tests types in json's order (a bool is not an
+    int, a Fraction reaches `default`), joins a list of plain ints in one
+    step, and hands anything else (floats, other objects, dicts with keys
+    that are not strings) to json.dumps, whose text at level 0 only needs
+    the deeper line breaks."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _encode(item, inner)
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, Fraction):
+        return encode_basestring_ascii(format_rational(value))
+    return json.dumps(value, indent=2, default=format_rational).replace("\n", newline)
 
 
 def _emit(text: str, out: str | None, filename: str):

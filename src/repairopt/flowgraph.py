@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .netmodel import NetworkSpec
 
@@ -44,7 +45,7 @@ def build_flow_graph(spec: NetworkSpec) -> FlowGraph:
         for (i, j) in spec.cost.edges()
         if i in helper_set and (j in helper_set or j == spec.failed)
     ]
-    reach = spec.cost.costs_to(spec.failed, candidate)
+    reach = spec.cost.reaching(spec.failed, candidate)
     retained = tuple((i, j) for (i, j) in candidate if i in reach and j in reach)
     if not any(j == spec.failed for (_, j) in retained):
         raise FlowGraphError("no helper can reach the new node")
@@ -68,36 +69,45 @@ class ConstraintSet:
 
 
 def check_feasible(cs: ConstraintSet, z) -> bool:
-    """Exact membership test for the constraint polytope (z >= 0, Lz >= b)."""
+    """Exact membership test for the constraint polytope (z >= 0, Lz >= b).
+
+    z and b are scaled by the lcm of their denominators, so every row is
+    an integer sum compared with an integer."""
     z = tuple(Fraction(v) for v in z)
     if len(z) != len(cs.edge_index):
         raise ValueError(f"z has {len(z)} entries, expected {len(cs.edge_index)}")
     if any(v < 0 for v in z):
         return False
-    for row, b in zip(cs.rows, cs.rhs):
-        if sum(c * v for c, v in zip(row, z)) < b:
-            return False
-    return True
+    scale = math.lcm(*(v.denominator for v in z), *(b.denominator for b in cs.rhs))
+    z_int = [v.numerator * (scale // v.denominator) for v in z]
+    return all(sum(map(mul, row, z_int)) >= b.numerator * (scale // b.denominator)
+               for row, b in zip(cs.rows, cs.rhs))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> ConstraintSet:
     """Enumerate the source/DC vertex partitions, for every (k-1)-subset
     of helpers, whose cut inequality has a positive right-hand side.
 
-    For a chosen subset K the DC side always contains out_nu and out_K;
-    a set T of the other survivors' out vertices and in_nu may join it.
-    Infinite edges (source attachments) pin all in vertices of survivors
-    to the source side. A cut crossing c = (k-1) + |T| + [in_nu on the
-    source side] storage edges yields sum(crossing z) >= M - alpha * c,
-    which constrains nothing unless c <= c_max = ceil(M/alpha) - 1. Only
-    those partitions are visited: C(d, k-1) * sum_{s <= c_max-k+1}
-    C(n-k, s) sets T, one per K at the minimum-storage point.
+    The DC side always contains out_nu and the out vertices of the
+    data collector's k-1 helpers; the out vertices of any other survivors
+    and in_nu may join it. Infinite edges (source attachments) pin all in
+    vertices of survivors to the source side. So a partition is a set S
+    of survivors whose out vertices are on the DC side, holding at least
+    k-1 helpers, and the side of in_nu. Its cut crosses c = |S| + [in_nu
+    on the source side] storage edges and yields sum(crossing z) >=
+    M - alpha * c, which constrains nothing unless c <= c_max =
+    ceil(M/alpha) - 1. Only those partitions are visited: each set S
+    with k-1 <= |S| <= c_max once, C(n-1, k-1) of them at the
+    minimum-storage point.
 
     Rows are integer masks whose bits follow the edge order, so masks
     compare as the row tuples do: a crossing set is the head mask of the
     DC side with its tail mask cleared. Duplicates are dropped; reduce=True
-    additionally removes dominated rows. Rows and rhs become tuples and
-    Fractions only on output.
+    additionally removes dominated rows. Rows become tuples only on output,
+    and each rhs Fraction is built once per crossing count c.
     """
     spec = fg.spec
     if spec.n > 12:
@@ -117,26 +127,19 @@ def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> Constrai
         else:
             head[j] |= bit
     c_max = math.ceil(spec.M / spec.alpha) - 1
-    free = c_max - (spec.k - 1)  # storage edges left for T and in_nu
+    helpers = set(spec.helpers)
     rows: set[tuple[int, int]] = set()  # (crossing mask, storage edges c)
-
-    survivors = spec.survivors
-    for K in combinations(spec.helpers, spec.k - 1):
-        k_head = k_tail = 0
-        for v in K:
-            k_head |= head[v]
-            k_tail |= tail[v]
-        others = [s for s in survivors if s not in K]
-        for size in range(min(free, len(others)) + 1):
-            c = spec.k - 1 + size
-            for T in combinations(others, size):
-                h, t = k_head, k_tail
-                for v in T:
-                    h |= head[v]
-                    t |= tail[v]
-                rows.add(((h | into_nu) & ~t, c))  # in_nu on the DC side
-                if c < c_max:
-                    rows.add((h & ~t, c + 1))  # in_nu on the source side
+    for c in range(spec.k - 1, min(c_max, len(spec.survivors)) + 1):
+        for S in combinations(spec.survivors, c):
+            if len(helpers.intersection(S)) < spec.k - 1:
+                continue
+            h = t = 0
+            for v in S:
+                h |= head[v]
+                t |= tail[v]
+            rows.add(((h | into_nu) & ~t, c))  # in_nu on the DC side
+            if c < c_max:
+                rows.add((h & ~t, c + 1))  # in_nu on the source side
 
     # mask order is row-tuple order; for one mask, fewer storage edges
     # means a larger rhs, which sorts last
@@ -155,11 +158,14 @@ def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> Constrai
                        for b in range(bits) for r2, c2 in kept.get(b, ())):
                 ordered.append((r, c))
                 kept.setdefault(bits, []).append((r, c))
-    shifts = range(m - 1, -1, -1)
+    # a row's entries are the mask's m binary digits, as bytes 0 and 1
+    digits = f"0{m}b"
+    # one rhs per crossing count; a cut crosses at most n storage edges
+    rhs = {c: spec.M - spec.alpha * c for c in range(spec.k - 1, min(c_max, spec.n) + 1)}
     return ConstraintSet(
         edge_index=fg.edge_index,
-        rows=tuple(tuple(r >> s & 1 for s in shifts) for r, _ in ordered),
-        rhs=tuple(spec.M - spec.alpha * c for _, c in ordered),
+        rows=tuple(tuple(format(r, digits).encode().translate(_BITS)) for r, _ in ordered),
+        rhs=tuple(rhs[c] for _, c in ordered),
     )
 
 

@@ -7,9 +7,10 @@ node's id throughout.
 
 The links form an acyclic digraph. Every walk over it follows one order,
 topological_order (Kahn's, least ready node first): CostMatrix keeps that
-order and refuses a cycle, and CostMatrix.costs_to finds the least path
-cost to a node in one pass over it in reverse, which gives the helpers'
-reachability, the shortest-path baseline and the flow graph's pruning.
+order and refuses a cycle. One pass over it in reverse gives the nodes
+that can reach a node (CostMatrix.reaching: the helpers' reachability and
+the flow graph's pruning), or their least path costs to it
+(CostMatrix.costs_to: the shortest-path baseline).
 """
 
 from __future__ import annotations
@@ -110,11 +111,11 @@ class CostMatrix:
     def edges(self) -> list[tuple[int, int]]:
         return list(self._cost)
 
-    def costs_to(self, target: int, links=None) -> dict[int, Fraction]:
+    def costs_to(self, target: int) -> dict[int, Fraction]:
         """Least path cost to target from every node that can reach it
-        (target itself at 0), over all links or over the given ones."""
+        (target itself at 0)."""
         succ: dict[int, list[int]] = {}
-        for i, j in self._cost if links is None else links:
+        for i, j in self._cost:
             succ.setdefault(i, []).append(j)
         dist = {target: Fraction(0)}
         for v in reversed(self._order):
@@ -122,6 +123,18 @@ class CostMatrix:
             if costs:
                 dist[v] = min(costs)
         return dist
+
+    def reaching(self, target: int, links=None) -> set[int]:
+        """The nodes with a path to target (target included), over all
+        links or over the given ones."""
+        succ: dict[int, list[int]] = {}
+        for i, j in self._cost if links is None else links:
+            succ.setdefault(i, []).append(j)
+        reach = {target}
+        for v in reversed(self._order):
+            if v in succ and not reach.isdisjoint(succ[v]):
+                reach.add(v)
+        return reach
 
     def to_rows(self) -> list[list[str]]:
         """n x n rows with "0" diagonal and "inf" for absent links."""
@@ -175,7 +188,7 @@ class NetworkSpec:
             raise TopologyError("alpha and M must be positive")
         if self.cost.n != self.n:
             raise TopologyError("cost matrix size does not match n")
-        reach = self.cost.costs_to(self.failed)
+        reach = self.cost.reaching(self.failed)
         for h in self.helpers:
             if h not in reach:
                 raise TopologyError(f"helper {h} cannot reach the new node")

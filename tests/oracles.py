@@ -7,10 +7,10 @@ exhaustive grid search instead of the simplex, the Leibniz formula
 instead of elimination, and a scan of every k-subset instead of the
 prefix-sharing walk of the any-k check.
 
-Three of them are earlier versions of package code, kept as references
+Four of them are earlier versions of package code, kept as references
 for its faster replacements: the cut enumerator that walks every vertex
-partition and every edge, the Fraction-tableau dual simplex, and the
-trial-division primality test. The package's results must equal theirs
+partition and every edge, the row-by-row Fraction feasibility check, the
+Fraction-tableau dual simplex, and the trial-division primality test. The package's results must equal theirs
 exactly.
 """
 
@@ -241,6 +241,18 @@ def reference_reduce(rows, rhs):
         if not dominated:
             kept.append((r, b))
     return tuple(r for r, _ in kept), tuple(b for _, b in kept)
+
+
+def reference_feasible(rows, rhs, z):
+    """Whether z >= 0 and rows.z >= rhs, each row summed in Fractions: the
+    package's feasibility check before it scaled to integers."""
+    z = tuple(Fraction(v) for v in z)
+    if any(v < 0 for v in z):
+        return False
+    for row, b in zip(rows, rhs):
+        if sum((c * v for c, v in zip(row, z)), Fraction(0)) < b:
+            return False
+    return True
 
 
 def reference_dual_simplex(rows, rhs, costs, degenerate_run_per_row=1):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import click.testing
@@ -14,7 +15,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repairopt import cli
 from repairopt.cli import main
-from repairopt.netmodel import TOPOLOGIES
+from repairopt.flowgraph import build_flow_graph, enumerate_cut_constraints
+from repairopt.netmodel import TOPOLOGIES, build_topology, format_rational
 
 
 def run(*args, env=None):
@@ -74,6 +76,36 @@ class TestConstraints:
         assert doc["edge_index"] == [[1, 2], [2, 3], [3, 4]]
         assert len(doc["L"]) == len(doc["b"]) == 2
         assert doc["b"] == ["5/2", "5/2"]
+
+
+# strings weighted toward what JSON must escape: quotes, backslashes,
+# control characters, and characters beyond ASCII
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                         st.characters()))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+                    st.fractions(), st.floats(), TEXT)
+KEYS = st.one_of(TEXT, st.integers(), st.booleans(), st.none(), st.floats())
+PAYLOADS = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.lists(st.one_of(st.integers(), st.booleans())),
+    st.dictionaries(TEXT, inner), st.dictionaries(KEYS, inner)), max_leaves=30)
+
+
+def star_n12_constraints():
+    """The payload of `constraints --raw` on star n12 k5 with the centre failed."""
+    spec = build_topology("star", 12, k=5, M=10, alpha=2, center=1, failed=1)
+    cs = enumerate_cut_constraints(build_flow_graph(spec), reduce=False)
+    return {"edge_index": cs.edge_index, "L": cs.rows, "b": cs.rhs}
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(PAYLOADS)
+    @example(star_n12_constraints())
+    @example({'say "hi"\n': [1, True, 0, False, -2**70], "\u00e9\x01": {}, "": [], "t": ()})
+    @example([Fraction(-7, 3), Fraction(4), None, [[]], {"a": {"b": (1, 2)}}])
+    @example({1: [2, 3], "x": {None: Fraction(1, 2), True: 1.5, 2.5: "y"}})
+    def test_same_text_as_json_dumps(self, payload):
+        assert cli._json(payload) == json.dumps(payload, indent=2, default=format_rational)
 
 
 class TestOutputStreams:

@@ -2,8 +2,10 @@
 and of the coefficients a seeded repair produces.
 
 The digests pin seeded reproducibility (`code`, `simulate`, `regenerate`,
-`exact-repair`), the spec documents, the cut constraints, `verify` and
-`solve --format csv`, the fixture tables, the `bounds` rows, the help text
+`exact-repair`), the spec documents, the cut constraints (integer and
+"p/q" right-hand sides, reduced and raw, up to a 330-row raw set),
+`verify` with integer and fractional schedules, `solve` in JSON and CSV,
+the fixture tables, the `bounds` rows, the help text
 and the report file `code --out` writes byte for byte. A
 change in the order in which the coder draws its random coefficients, or in
 how options are declared, shows up here even when every answer stays
@@ -33,6 +35,9 @@ from repairopt.netmodel import spec_to_json
 
 TANDEM = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "4", "--alpha", "2",
           "--failed", "4")
+# a fractional alpha: every cut's rhs M - alpha * c prints as a "p/q" string
+TANDEM_HALF = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "5", "--alpha", "5/2",
+               "--failed", "4")
 
 # argv per case; "@name" stands for the path of fixture `name` written by
 # spec_to_json
@@ -70,8 +75,16 @@ CASES = {
         "--alpha", "2", "--rows", "2", "--cols", "3", "--failed", "6"),
     "constraints-grid-2x3": ("constraints", "--spec", "@grid-2x3"),
     "constraints-raw-grid-2x3": ("constraints", "--spec", "@grid-2x3", "--raw"),
+    "constraints-tandem-n4-M5": ("constraints", *TANDEM_HALF),
+    "constraints-raw-tandem-n4-M5": ("constraints", *TANDEM_HALF, "--raw"),
+    "constraints-raw-star-n12-k5": (
+        "constraints", "--topology", "star", "--n", "12", "--k", "5", "--M", "10",
+        "--alpha", "2", "--center", "1", "--failed", "1", "--raw"),
     "verify-tandem-n4-feasible": ("verify", *TANDEM, "--z", "0,2,2"),
     "verify-tandem-n4-infeasible": ("verify", *TANDEM, "--z", "0,0,0"),
+    "verify-tandem-n4-M5-feasible": ("verify", *TANDEM_HALF, "--z", "1/3,5/2,8/3"),
+    "verify-tandem-n4-M5-infeasible": ("verify", *TANDEM_HALF, "--z", "1/2,5/2,7/3"),
+    "solve-json-grid-2x3": ("solve", "--spec", "@grid-2x3"),
     "solve-csv-grid-2x3": ("solve", "--spec", "@grid-2x3", "--format", "csv"),
     "code-tandem-n4-env-seed9": ("code", *TANDEM),
     "fixtures-text": ("fixtures",),
@@ -103,11 +116,14 @@ DIGESTS = {
     "code-star-n6-M9-seed7": ("30c77986e98bac757dea0930b26589411f1eca39a9e31b6b81c1f967de42fbd1", 0),
     "code-star-n6-seed0": ("e38c4e06784f730cf2422f0a3d5e48af9c2f10446f75751f432097cee9ae806b", 0),
     "code-star-n6-seed7": ("b51cd765ba933c64f0199ab144b9ca84439d4ffe86372ded64fbd3c6927e9963", 0),
+    "code-tandem-n4-env-seed9": ("47dfa0238c78e9a8b4c2879dfe440fa82490f13854467f6e64f62437bcf34412", 0),
     "code-tandem-n4-seed0": ("a483e68aee4e664aeaabc755388c7a7c3bd02fcc3bdba8a1f73a17744da76ad8", 0),
     "code-tandem-n4-seed7": ("c0c73182870ef926d6a7e5b4eea959551c2975b3c4a5812878c6f6b38cc000b3", 0),
-    "code-tandem-n4-env-seed9": ("47dfa0238c78e9a8b4c2879dfe440fa82490f13854467f6e64f62437bcf34412", 0),
     "constraints-grid-2x3": ("f75860c348c918f80a46cd27741d232596df8eaa37d4a666ea7023f5a44c040e", 0),
     "constraints-raw-grid-2x3": ("9d902fae91cf5e594a107fbfe3f8b092a9c88f73b706d6a233c7de3537caca5e", 0),
+    "constraints-raw-star-n12-k5": ("ee62e2d182f480fbec0123c266e14c07940239f8950ede82fb4c47824148f8ba", 0),
+    "constraints-raw-tandem-n4-M5": ("8a88180f62c5712ea8db6231d4a1ae87f9a75522d5a8e83be64c68f62a957dbd", 0),
+    "constraints-tandem-n4-M5": ("f964836d68ba3bbcc6a183aa5674a6eeb3f7d66df2674ee80728c7fd2402147c", 0),
     "exact-repair-n200-k40-t1": ("e106509384a74d7ce659876f407c3d6b45e6944ffb8539d7ab0c6e62443841bf", 0),
     "exact-repair-n200-k40-t100": ("97311abe31d868afb6c41c5c546b7b58bcb9a63636c5124ebf47e4b5230aaf54", 0),
     "exact-repair-n200-k40-t100-split13-27": ("84d13c647cbc0574e1b050edbaa809badf2834b8d5c1eba27c34d183f0fb62d7", 0),
@@ -123,9 +139,12 @@ DIGESTS = {
     "simulate-star-n6-k3-seed3": ("07129ed731db345563486ef7b82b6894030045d75af573d8e5c0b16272b5dfee", 0),
     "solve-csv-grid-2x3": ("a6eadb0b68733d37a2e782fb7215b627bdfb58f437328d5cdbedbb3f49b5ecef", 0),
     "solve-help": ("aea02a3c25eea5834c33f220c06c2e689a648b9fdc2dae34179932e55bd096e6", 0),
+    "solve-json-grid-2x3": ("5fc1dae72d2c749c000e16fe79b796fbb02d34d827d067ff3227c849a694da15", 0),
     "topology-gen-grid-2x3": ("1002f356437910ee9e83391c812d1b30923084eebd546b49be423d8dba3c84ff", 0),
     "topology-gen-star-n6": ("b48abdae0d9252a52171a4b84e72fe4268afb5e894fa463acad31f818bf55f17", 0),
     "topology-gen-tandem-n4": ("c46848c166c655bb0fe868ea422cb79cad93788cc815e511901bd02415a836e2", 0),
+    "verify-tandem-n4-M5-feasible": ("e3f6359e407bd606389f0718e1f8b87e867a0858b1cb067cde022a4de5f5ed25", 0),
+    "verify-tandem-n4-M5-infeasible": ("91664b371956d8bad261002deab7384452c88d2b41d790c7055c9928588d8de0", 1),
     "verify-tandem-n4-feasible": ("6fc83a53dc1bc6705ab9ffa238adaa337151a6be36ddbde09f530dd205a3140d", 0),
     "verify-tandem-n4-infeasible": ("3e26434179fb479228600cfc072de09e29961eab93b86e878a7d1fc3ff353678", 1),
 }

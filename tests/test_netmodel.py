@@ -184,20 +184,31 @@ def least_ready_order(n, edges):
 
 
 class TestWalk:
-    """topological_order and CostMatrix.costs_to against brute force."""
+    """topological_order, CostMatrix.costs_to and CostMatrix.reaching
+    against brute force."""
 
     @settings(max_examples=200, deadline=None)
     @given(dags(), st.data())
     def test_costs_to_matches_path_enumeration(self, dag, data):
         n, entries = dag
         target = data.draw(st.integers(1, n))
+        cm = CostMatrix(n, entries)
+        got = cm.costs_to(target)
+        for v in range(1, n + 1):
+            assert got.get(v) == all_paths_min_cost(cm, v, target)  # missing exactly when no path
+
+    @settings(max_examples=200, deadline=None)
+    @given(dags(), st.data())
+    def test_reaching_matches_path_enumeration(self, dag, data):
+        """Over all links, or over a subset of them: the nodes with a path."""
+        n, entries = dag
+        target = data.draw(st.integers(1, n))
         links = [e for e in sorted(entries) if data.draw(st.booleans())]
         cm = CostMatrix(n, entries)
         sub = CostMatrix(n, {e: entries[e] for e in links})
-        for got, graph in ((cm.costs_to(target), cm), (cm.costs_to(target, links), sub)):
-            for v in range(1, n + 1):
-                expected = all_paths_min_cost(graph, v, target)
-                assert got.get(v) == expected  # missing exactly when no path
+        for got, graph in ((cm.reaching(target), cm), (cm.reaching(target, links), sub)):
+            assert got == {v for v in range(1, n + 1)
+                           if all_paths_min_cost(graph, v, target) is not None}
 
     @settings(max_examples=200, deadline=None)
     @given(dags())

@@ -1,7 +1,8 @@
-"""The integer cut enumerator and the fraction-free dual simplex against
-the Fraction code they replaced (kept in `oracles.py`): equal constraint
-sets, raw and reduced, in the same row order, and equal LP solutions,
-pivots and duals included."""
+"""The integer cut enumerator, the integer feasibility check and the
+fraction-free dual simplex against the Fraction code they replaced (kept
+in `oracles.py`): equal constraint sets, raw and reduced, in the same row
+order, equal verdicts on every point, and equal LP solutions, pivots and
+duals included."""
 
 from fractions import Fraction
 
@@ -14,11 +15,12 @@ from repairopt.flowgraph import (
     ConstraintSet,
     FlowGraphError,
     build_flow_graph,
+    check_feasible,
     enumerate_cut_constraints,
 )
 from repairopt.lpcore import LPError, LPSolution, solve_min_cost
 from repairopt.netmodel import TopologyError, build_topology
-from oracles import reference_cuts, reference_dual_simplex, reference_reduce
+from oracles import reference_cuts, reference_dual_simplex, reference_feasible, reference_reduce
 
 
 def assert_matches_reference(spec, raw_lp=True):
@@ -148,3 +150,37 @@ def test_fractional_row_entries_rejected():
     cs = ConstraintSet(((1, 2),), ((Fraction(1, 2),),), (Fraction(1),))
     with pytest.raises(LPError):
         solve_min_cost(cs, [1])
+
+
+@st.composite
+def feasibility_cases(draw):
+    """(rows, rhs, z): rows with negative integer entries, z with zero,
+    negative and fractional entries given as ints or as Fractions, and
+    each rhs either drawn freely or offset from its row's value at z by a
+    small step, so the verdict often turns on a tie or on a sixth."""
+    m = draw(st.integers(0, 5))
+    z = draw(st.lists(st.fractions(-1, 4, max_denominator=6), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        z = [v.numerator // v.denominator for v in z]   # all ints
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), max_size=6))
+    rhs = []
+    for row in rows:
+        if draw(st.booleans()):
+            rhs.append(draw(st.fractions(-4, 6, max_denominator=6)))
+        else:
+            at_z = sum((c * Fraction(v) for c, v in zip(row, z)), Fraction(0))
+            rhs.append(at_z + draw(st.sampled_from((0, 0, Fraction(1, 6), Fraction(-1, 6), 1))))
+    return tuple(map(tuple, rows)), tuple(rhs), z
+
+
+@settings(max_examples=400, deadline=None)
+@given(feasibility_cases())
+@example(((), (), []))
+@example(((), (), [Fraction(1, 2), 3]))
+@example((((1, -1),), (Fraction(1, 3),), [Fraction(1, 2), Fraction(1, 6)]))
+@example((((1, -1),), (Fraction(1, 3),), [Fraction(1, 2), Fraction(1, 5)]))
+@example((((1, 1),), (Fraction(-1),), [0, -1]))
+def test_check_feasible(case):
+    rows, rhs, z = case
+    cs = ConstraintSet(tuple((i, len(z) + 1) for i in range(1, len(z) + 1)), rows, rhs)
+    assert check_feasible(cs, z) == reference_feasible(rows, rhs, z)
