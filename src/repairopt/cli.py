@@ -32,9 +32,11 @@ from .netmodel import (
 
 
 def _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, cols):
-    """The spec the network options describe: a --spec document, or an
-    inline --topology with its sizes."""
+    """The spec the network options describe: a --spec document alone, or
+    an inline --topology with its sizes."""
     if spec_path:
+        if any(v is not None for v in (topology, n, k, d, alpha, m, failed, center, rows, cols)):
+            raise click.UsageError("--spec cannot be combined with inline network options")
         return spec_from_json(json.loads(Path(spec_path).read_text()))
     if topology is None:
         raise click.UsageError("provide --spec PATH or --topology KIND")
@@ -42,17 +44,6 @@ def _load_spec(spec_path, topology, n, k, d, alpha, m, failed, center, rows, col
         raise click.UsageError("--topology needs --n, --k and --M")
     return build_topology(topology, n, k=k, M=m, alpha=alpha, d=d, failed=failed,
                           center=center, rows=rows, cols=cols)
-
-
-def _echo(text: str, err: bool = False) -> None:
-    """Print a line to the current stdout, or stderr with err=True.
-
-    The stream is passed explicitly: click.echo without `file` caches its
-    default stream in a WeakKeyDictionary whose value is the key itself,
-    so a stream substituted for stdout (as click's CliRunner does for each
-    in-process invocation) would never be freed, with all of its output.
-    """
-    click.echo(text, file=sys.stderr if err else sys.stdout)
 
 
 def _json(payload) -> str:
@@ -110,9 +101,9 @@ def _emit(text: str, out: str | None, filename: str):
         tmp = path.with_suffix(path.suffix + ".tmp")
         tmp.write_text(text + "\n")
         tmp.replace(path)
-        _echo(str(path))
+        print(path, flush=True)
     else:
-        _echo(text)
+        print(text, flush=True)
 
 
 def spec_options(fn):
@@ -161,7 +152,7 @@ class _Command(click.Command):
         except (ValueError, OSError) as exc:
             raise click.UsageError(str(exc), ctx) from exc
         except coder.RetryExhaustedError as exc:
-            _echo(f"{ctx.info_name} failed: {exc}", err=True)
+            print(f"{ctx.info_name} failed: {exc}", file=sys.stderr)
             sys.exit(1)
 
 
@@ -321,7 +312,7 @@ def verify(spec, z_text):
     feasible = check_feasible(cs, z)
     cost = sum(c * v for c, v in zip(costs, z))
     edges = [f"{i}->{j}" for (i, j) in cs.edge_index]
-    _echo(_json({"feasible": feasible, "cost": cost, "edge_index": edges}))
+    print(_json({"feasible": feasible, "cost": cost, "edge_index": edges}), flush=True)
     if not feasible:
         sys.exit(1)
 
@@ -330,20 +321,18 @@ def verify(spec, z_text):
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 def fixtures_cmd(fmt):
     """Run the built-in fixture suite and print a pass/fail table."""
-    rows = fixtures.run_fixture_suite()
+    records = fixtures.run_fixture_suite()
     if fmt == "json":
-        _echo(_json([{"name": r.name, "lp": r.lp_value, "expected": r.expected_lp,
-                      "published": r.published_lp, "baseline": r.baseline,
-                      "gain": r.gain, "ok": r.ok} for r in rows]))
+        print(_json(records), flush=True)
     else:
-        table = [["fixture", "lp", "expected", "published", "baseline", "gain", "status"]]
-        table += [[r.name, *map(format_rational, (r.lp_value, r.expected_lp, r.published_lp,
-                                                  r.baseline, r.gain)),
-                   "PASS" if r.ok else "FAIL"] for r in rows]
+        columns = ("lp", "expected", "published", "baseline", "gain")
+        table = [["fixture", *columns, "status"]]
+        table += [[r["name"], *(format_rational(r[c]) for c in columns),
+                   "PASS" if r["ok"] else "FAIL"] for r in records]
         sep, widths = ("  ", (18, 8, 8, 10, 8, 8, 6)) if fmt == "text" else (",", (0,) * 7)
-        for cells in table:
-            _echo(sep.join(c.ljust(w) for c, w in zip(cells, widths)))
-    if not all(r.ok for r in rows):
+        lines = [sep.join(c.ljust(w) for c, w in zip(cells, widths)) for cells in table]
+        print(*lines, sep="\n", flush=True)
+    if not all(r["ok"] for r in records):
         sys.exit(1)
 
 

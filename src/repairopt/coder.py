@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import gfalg
-from .flowgraph import FlowGraphError, repair_cuts
+from .flowgraph import repair_cuts
 from .lpcore import LPError, solve_min_cost
 from .netmodel import NetworkSpec, TopologyError, respec_failure, topological_order
 
@@ -295,7 +295,7 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
     for node in range(1, spec.n + 1):
         try:
             plans[node] = make_plan(respec_failure(spec, node))
-        except (TopologyError, FlowGraphError):
+        except TopologyError:
             continue
     if not plans:
         raise TopologyError("no node of this network is repairable")

@@ -16,11 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .netmodel import NetworkSpec
-
-
-class FlowGraphError(ValueError):
-    """The repair scenario admits no usable flow graph."""
+from .netmodel import NetworkSpec, TopologyError
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,7 @@ def build_flow_graph(spec: NetworkSpec) -> FlowGraph:
     reach = spec.cost.reaching(spec.failed, candidate)
     retained = tuple((i, j) for (i, j) in candidate if i in reach and j in reach)
     if not any(j == spec.failed for (_, j) in retained):
-        raise FlowGraphError("no helper can reach the new node")
+        raise TopologyError("no helper can reach the new node")
     return FlowGraph(spec=spec, edge_index=retained)
 
 
@@ -111,7 +107,7 @@ def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> Constrai
     """
     spec = fg.spec
     if spec.n > 12:
-        raise FlowGraphError("cut enumeration is exponential; capped at n <= 12")
+        raise TopologyError("cut enumeration is exponential; capped at n <= 12")
     nu = spec.failed
     m = len(fg.edge_index)
     # masks of the edges out_i -> out_v into and out of each survivor v,

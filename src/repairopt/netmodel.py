@@ -229,6 +229,10 @@ TOPOLOGIES = ("tandem", "star", "grid", "complete")
 
 def _undirected_adjacency(kind: str, n: int, center: int | None,
                           rows: int | None, cols: int | None) -> set[frozenset[int]]:
+    if center is not None and kind != "star":
+        raise TopologyError(f"only a star topology takes a center, not {kind!r}")
+    if (rows is not None or cols is not None) and kind != "grid":
+        raise TopologyError(f"only a grid topology takes rows and cols, not {kind!r}")
     links: set[frozenset[int]] = set()
     if kind == "tandem":
         for i in range(1, n):

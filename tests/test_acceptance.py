@@ -36,7 +36,7 @@ from repairopt.bounds import (
     tandem_lower_bound,
 )
 from repairopt.flowgraph import check_feasible, repair_cuts
-from repairopt.fixtures import BUILDERS, PUBLISHED
+from repairopt.fixtures import FIXTURES, fixture_spec
 from repairopt.gfalg import smallest_prime_geq
 from repairopt.lpcore import solve_min_cost, verify_dual
 from repairopt.netmodel import baseline_cost, build_topology
@@ -84,7 +84,7 @@ def test_criterion_2_grid_fixture():
     witness = [fractional[e] for e in cs.edge_index]
     integral = brute_force_optimum(cs, costs, granularity=1)
     base = baseline_cost(spec)
-    published = PUBLISHED["grid-2x3"]
+    _, _, published = FIXTURES["grid-2x3"]
     print(f"[note] grid-2x3: LP optimum {sol.value}, "
           f"published {published} (best integral schedule)")
     checks = [
@@ -115,7 +115,7 @@ def test_criterion_3_fully_connected():
     witness = [gather.get(e, 0) for e in cs_c.edge_index]
     base = baseline_cost(spec_c)
     relay_cost = cost_of(spec_c, cs_c, relay)
-    published = PUBLISHED["complete-n5-cost3"]
+    _, _, published = FIXTURES["complete-n5-cost3"]
     print(f"[note] complete-n5-cost3: LP optimum {sol_c.value}, "
           f"published {published} (relay chain 2->3->4->5)")
     checks = [
@@ -166,8 +166,8 @@ def test_criterion_4_closed_forms():
 
 def test_criterion_5_code_achieves_optimum():
     checks = []
-    for name in sorted(BUILDERS):
-        spec = BUILDERS[name]()
+    for name in sorted(FIXTURES):
+        spec = fixture_spec(name)
         if spec.alpha != spec.M / spec.k:
             continue
         rep = coder.run_repair(spec, seed=2024)
@@ -182,8 +182,8 @@ def test_criterion_5_code_achieves_optimum():
 
 def test_criterion_6_multi_stage():
     checks = []
-    tandem = BUILDERS["tandem-n4"]()
-    grid = BUILDERS["grid-2x3"]()
+    tandem = fixture_spec("tandem-n4")
+    grid = fixture_spec("grid-2x3")
     exhausted = 0
     tandem_ok = grid_ok = True
     for seed in range(90):
@@ -228,7 +228,7 @@ def test_criterion_7_exact_tandem():
 
 def test_criterion_8_oracles():
     checks = []
-    for name in sorted(BUILDERS):
+    for name in sorted(FIXTURES):
         spec, cs, costs, sol = solved_fixture(name)
         checks.append((f"{name} dual certificate", verify_dual(cs, costs, sol)))
         if len(cs.edge_index) <= 8:

@@ -11,7 +11,7 @@ from repairopt.bounds import (
     star_lower_bound,
     tandem_lower_bound,
 )
-from repairopt.fixtures import complete5_unit, grid2x3, star6, tandem4
+from repairopt.fixtures import fixture_spec
 from repairopt.netmodel import build_topology, msr_beta
 
 
@@ -39,12 +39,12 @@ class TestFormulas:
 
 class TestClosedFormSelection:
     def test_tandem_and_star_have_forms(self):
-        assert closed_form_for(tandem4()) == 4
-        assert closed_form_for(star6()) == Fraction(14, 3)
+        assert closed_form_for(fixture_spec("tandem-n4")) == 4
+        assert closed_form_for(fixture_spec("star-n6")) == Fraction(14, 3)
 
     def test_other_topologies_do_not(self):
-        assert closed_form_for(grid2x3()) is None
-        assert closed_form_for(complete5_unit()) is None
+        assert closed_form_for(fixture_spec("grid-2x3")) is None
+        assert closed_form_for(fixture_spec("complete-n5-unit")) is None
 
     def test_non_unit_costs_disqualify(self):
         spec = build_topology("tandem", 4, k=2, M=4, alpha=2, failed=4,
@@ -60,26 +60,26 @@ class TestClosedFormSelection:
                 for t in (1, 2, 4)}
         assert paper_gain_for(line[1]) == paper_gain_for(line[4]) == Fraction(5, 2)
         assert paper_gain_for(line[2]) is None
-        assert paper_gain_for(star6()) == gain_star_noncentral(6, 3)
+        assert paper_gain_for(fixture_spec("star-n6")) == gain_star_noncentral(6, 3)
         centre = build_topology("star", 6, k=3, M=6, alpha=2, center=2, failed=2)
         assert paper_gain_for(centre) is None
-        assert paper_gain_for(grid2x3()) is None
+        assert paper_gain_for(fixture_spec("grid-2x3")) is None
 
 
 class TestComparison:
     def test_tandem_report(self):
-        report = compare_lp_to_bounds(tandem4())
+        report = compare_lp_to_bounds(fixture_spec("tandem-n4"))
         assert report.sigma_opt == 4
         assert report.sigma_non_opt == 6
         assert report.g_c == Fraction(3, 2)
         assert report.closed_form_value == report.sigma_opt
 
     def test_star_gain_matches_closed_form_ratio(self):
-        report = compare_lp_to_bounds(star6())
+        report = compare_lp_to_bounds(fixture_spec("star-n6"))
         assert report.sigma_opt == Fraction(14, 3)
         assert report.g_c == gain_star_noncentral(6, 3)
         assert report.closed_form_value == report.sigma_opt
 
     def test_sandwich_on_grid(self):
-        report = compare_lp_to_bounds(grid2x3())
+        report = compare_lp_to_bounds(fixture_spec("grid-2x3"))
         assert 0 < report.sigma_opt <= report.sigma_non_opt

@@ -139,10 +139,10 @@ class TestOutputStreams:
     def test_closed_stdout_is_not_a_usage_error(self, monkeypatch):
         """A write to a closed stdout is left to click's main, which exits 1
         without a usage message."""
-        def closed(text, err=False):
+        def closed(*args, **kwargs):
             raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
-        monkeypatch.setattr(cli, "_echo", closed)
+        monkeypatch.setattr(cli, "print", closed, raising=False)
         result = run("solve", *TANDEM)
         assert result.exit_code == 1 and "Usage" not in result.output
 
@@ -386,6 +386,18 @@ class TestCleanErrors:
             errors |= {line for line in result.stderr.splitlines() if line.startswith("Error:")}
         assert len(errors) == 1, errors
 
+    @pytest.mark.parametrize("flags", [("--failed", "2"), ("--failed", "2", "--n", "9"),
+                                       ("--topology", "tandem"), ("--alpha", "2"),
+                                       ("--center", "1"), ("--rows", "2", "--cols", "2")])
+    def test_spec_takes_no_inline_options(self, flags, tmp_path):
+        """A --spec document is the whole network: an inline option beside
+        it is refused, not ignored."""
+        assert run("topology", "gen", *TANDEM, "--out", str(tmp_path)).exit_code == 0
+        spec = ("--spec", str(tmp_path / "network.json"))
+        assert run("solve", *spec).exit_code == 0
+        self.usage_error(run("solve", *spec, *flags),
+                         "--spec cannot be combined with inline network options")
+
     @pytest.mark.parametrize("flags, message", [
         (("--M", "inf"), "alpha and M must be finite"),
         (("--M", "4", "--k", "0"), "need k >= 1"),
@@ -425,6 +437,9 @@ NODES = st.sampled_from(["4", "5", "6", "3", "2"])
 NUMBER = st.sampled_from(["2", "4", "6", "1", "5/2", "0", "-1", "inf", "1/0", "abc"])
 COUNT = st.sampled_from(["1", "2", "0"])
 OUT = st.sampled_from(["dir", "file", "file/below"])  # under the test's directory
+SPEC = st.sampled_from(["network.json", "file", "missing.json"])  # under it too
+INLINE = ("--topology", "--n", "--k", "--d", "--alpha", "--M", "--failed", "--center",
+          "--rows", "--cols")
 
 
 @st.composite
@@ -432,7 +447,8 @@ def argvs(draw):
     """The argv of a network command or of exact-repair: the options that
     say which network or line, and verify's --z and simulate's --stages,
     always; each other one present or not; at sizes too small for any
-    command to do real work."""
+    command to do real work. A network command may instead take --spec,
+    with each inline network option present or not."""
     command = draw(st.sampled_from(NETWORK_COMMANDS + (("exact-repair",),)))
     if command == ("exact-repair",):
         required = {"--n": NODES, "--k": SIZE, "--failed": SIZE,
@@ -443,6 +459,8 @@ def argvs(draw):
                     "--M": NUMBER}
         optional = {"--d": SIZE, "--alpha": NUMBER, "--failed": SIZE, "--center": SIZE,
                     "--rows": SIZE, "--cols": SIZE}
+        if draw(st.booleans()):
+            required, optional = {"--spec": SPEC}, {**required, **optional}
         if command in (("code",), ("simulate",)):
             optional.update({"--seed": SIZE, "--retries": COUNT})
         if command == ("simulate",):
@@ -462,9 +480,11 @@ def argvs(draw):
 
 @pytest.fixture(scope="module")
 def out_root():
-    """One directory for every run of the fuzz test; "file" in it is a file."""
+    """One directory for every run of the fuzz test; "file" in it is a file
+    and "network.json" a spec document."""
     with tempfile.TemporaryDirectory() as root:
         (Path(root) / "file").write_text("")
+        (Path(root) / "network.json").write_text(run("topology", "gen", *TANDEM).output)
         yield Path(root)
 
 
@@ -490,15 +510,20 @@ class TestFuzz:
                    "--failed", "3"])
     @example(argv=["exact-repair", "--n", "6", "--k", "3", "--q", "7", "--failed", "3",
                    "--k1", "2"])
+    @example(argv=["solve", "--spec", "network.json", "--failed", "2", "--n", "9"])
+    @example(argv=["simulate", "--spec", "network.json", "--stages", "2"])
     def test_every_run_exits_cleanly(self, argv, out_root):
         """Every run ends in exit 0, 1 or 2 and raises nothing but SystemExit,
-        and exact-repair reports the split it was given."""
-        argv = [str(out_root / a) if flag == "--out" else a
+        a --spec beside an inline network option exits 2, and exact-repair
+        reports the split it was given."""
+        argv = [str(out_root / a) if flag in ("--out", "--spec") else a
                 for flag, a in zip([None, *argv], argv)]
         result = run(*argv)
         assert result.exit_code in (0, 1, 2), (argv, result.output)
         assert result.exception is None or isinstance(result.exception, SystemExit), \
             (argv, result.exception)
+        if "--spec" in argv and any(flag in INLINE for flag in argv):
+            assert result.exit_code == 2 and "Error:" in result.output, argv
         if argv[0] == "exact-repair" and result.exit_code == 0:
             out = result.output
             doc = json.loads(Path(out.strip()).read_text() if "--out" in argv else out)

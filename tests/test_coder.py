@@ -21,7 +21,7 @@ from repairopt.coder import (
     simulate_stages,
     verify_rcp,
 )
-from repairopt.fixtures import BUILDERS, complete5_cost3, grid2x3, star6, tandem4
+from repairopt.fixtures import FIXTURES, fixture_spec
 from repairopt.lpcore import LPError
 from repairopt.netmodel import TopologyError, build_topology, spec_from_json
 
@@ -67,7 +67,7 @@ class TestEncodingDepth:
 
 class TestPlans:
     def test_tandem_plan(self):
-        spec = tandem4()
+        spec = fixture_spec("tandem-n4")
         plan = make_plan(spec)
         assert plan.scale == 1
         assert plan.counts == (0, 2, 2)
@@ -76,7 +76,7 @@ class TestPlans:
         assert plan.achieved_cost == plan.lp_value == 4
 
     def test_grid_plan_scales_thirds(self):
-        spec = grid2x3()
+        spec = fixture_spec("grid-2x3")
         plan = make_plan(spec)
         assert plan.lp_value == Fraction(20, 3)
         assert plan.scale == 3
@@ -87,7 +87,7 @@ class TestPlans:
     def test_achieved_cost_follows_the_counts(self):
         """A rescale that scales the counts but not the scale, or the other
         way round, shows as an achieved cost off the LP value."""
-        plan = make_plan(complete5_cost3())
+        plan = make_plan(fixture_spec("complete-n5-cost3"))
         assert plan.costs == tuple(3 if j == 5 else 1 for _, j in plan.edges)
         doubled = tuple(2 * c for c in plan.counts)
         assert replace(plan, counts=doubled, scale=2).achieved_cost == plan.lp_value == 9
@@ -116,9 +116,9 @@ class TestPlanCost:
     GRID3X3_MAX_SCALES = (3, 3, 3, 3, 5, 3, 5, 3, 3)
 
     def test_fixture_scales_unchanged(self):
-        assert set(self.FIXTURE_SCALES) == set(BUILDERS)
-        for name, builder in BUILDERS.items():
-            plan = make_plan(builder())
+        assert set(self.FIXTURE_SCALES) == set(FIXTURES)
+        for name in FIXTURES:
+            plan = make_plan(fixture_spec(name))
             assert plan.scale == self.FIXTURE_SCALES[name], name
 
     @pytest.mark.parametrize("failed", range(1, 10))
@@ -230,12 +230,13 @@ class TestVerifyRcp:
 
 class TestInitCode:
     def test_init_holds_rcp(self):
-        state, attempts = init_code(tandem4(), 73, rng=random.Random(7))
+        state, attempts = init_code(fixture_spec("tandem-n4"), 73, rng=random.Random(7))
         assert verify_rcp(state)[0]
         assert attempts >= 1
 
     def test_requires_minimum_storage(self):
-        spec = star6(M=9, alpha=2)  # alpha != M/k
+        # alpha != M/k
+        spec = build_topology("star", 6, k=3, M=9, alpha=2, center=2, failed=1)
         with pytest.raises(TopologyError, match="minimum-storage"):
             init_code(spec, 73, rng=random.Random(0))
 
@@ -245,19 +246,19 @@ class TestInitCode:
                 return 0
 
         with pytest.raises(RetryExhaustedError):
-            init_code(tandem4(), 73, rng=ZeroRandom(), retries=3)
+            init_code(fixture_spec("tandem-n4"), 73, rng=ZeroRandom(), retries=3)
 
 
 class TestRegenerate:
     def test_plan_state_mismatches(self):
-        spec = tandem4()
+        spec = fixture_spec("tandem-n4")
         plan = make_plan(spec)
         state, _ = init_code(spec, 73, rng=random.Random(1))
         with pytest.raises(ValueError, match="granularity"):
             regenerate(state, replace(plan, scale=2), rng=random.Random(1))
 
     def test_underfed_plan_rejected(self):
-        spec = tandem4()
+        spec = fixture_spec("tandem-n4")
         plan = make_plan(spec)
         state, _ = init_code(spec, 73, rng=random.Random(1))
         with pytest.raises(ValueError, match="plan delivers 1 subfragments"):
@@ -266,18 +267,18 @@ class TestRegenerate:
 
 class TestPipeline:
     def test_run_repair_deterministic(self):
-        a = run_repair(tandem4(), seed=5)
-        b = run_repair(tandem4(), seed=5)
+        a = run_repair(fixture_spec("tandem-n4"), seed=5)
+        b = run_repair(fixture_spec("tandem-n4"), seed=5)
         assert a == b
         assert a["rcp_ok"] and a["achieved_cost"] == a["lp_value"] == 4
 
     def test_run_repair_nonunit_costs(self):
-        report = run_repair(complete5_cost3(), seed=3)
+        report = run_repair(fixture_spec("complete-n5-cost3"), seed=3)
         assert report["rcp_ok"]
         assert report["achieved_cost"] == report["lp_value"] == 9
 
     def test_fractional_optimum_is_executable(self):
-        report = run_repair(star6(), seed=2)
+        report = run_repair(fixture_spec("star-n6"), seed=2)
         assert report["rcp_ok"]
         assert report["scale"] == 3
         assert report["achieved_cost"] == Fraction(14, 3)
@@ -285,13 +286,13 @@ class TestPipeline:
 
 class TestSimulation:
     def test_stage_count_and_rcp(self):
-        reports = simulate_stages(tandem4(), 5, seed=11)
+        reports = simulate_stages(fixture_spec("tandem-n4"), 5, seed=11)
         assert len(reports) == 5
         assert all(r["rcp_ok"] for r in reports)
         assert all(r["achieved_cost"] == r["lp_value"] for r in reports)
 
     def test_fractional_stages_share_one_field(self):
-        reports = simulate_stages(grid2x3(), 3, seed=4)
+        reports = simulate_stages(fixture_spec("grid-2x3"), 3, seed=4)
         assert len({r["q"] for r in reports}) == 1
         assert all(r["rcp_ok"] for r in reports)
 
@@ -306,7 +307,7 @@ class TestSimulation:
 
     def test_needs_a_stage(self):
         with pytest.raises(ValueError, match="at least one stage"):
-            simulate_stages(tandem4(), 0, seed=0)
+            simulate_stages(fixture_spec("tandem-n4"), 0, seed=0)
 
 
 class TestRetryContract:
@@ -328,7 +329,7 @@ class TestRetryContract:
         return calls
 
     def test_regenerate_retries_until_rcp_holds(self, monkeypatch):
-        spec = tandem4()
+        spec = fixture_spec("tandem-n4")
         plan = make_plan(spec)
         state, _ = init_code(spec, 73, rng=random.Random(1))
         calls = self.fail_after(monkeypatch, 0, 2)
@@ -337,7 +338,7 @@ class TestRetryContract:
         assert verify_rcp(repaired) == (True, None)
 
     def test_regenerate_gives_up_after_retries(self, monkeypatch):
-        spec = tandem4()
+        spec = fixture_spec("tandem-n4")
         plan = make_plan(spec)
         state, _ = init_code(spec, 73, rng=random.Random(1))
         self.fail_after(monkeypatch, 0, 2)
@@ -345,7 +346,7 @@ class TestRetryContract:
             regenerate(state, plan, rng=random.Random(1), retries=2)
 
     def test_code_exits_1_when_repair_retries_run_out(self, monkeypatch):
-        passes = run_repair(tandem4(), seed=5)["init_attempts"]
+        passes = run_repair(fixture_spec("tandem-n4"), seed=5)["init_attempts"]
         self.fail_after(monkeypatch, passes, 2)
         result = CliRunner().invoke(main, [
             "code", "--topology", "tandem", "--n", "4", "--k", "2", "--M", "4",

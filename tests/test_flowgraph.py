@@ -5,15 +5,14 @@ from itertools import combinations
 import pytest
 
 from repairopt.flowgraph import (
-    FlowGraphError,
     build_flow_graph,
     check_feasible,
     enumerate_cut_constraints,
     repair_cuts,
 )
-from repairopt.fixtures import BUILDERS, complete5_unit, grid2x3, star6, tandem4
+from repairopt.fixtures import FIXTURES, fixture_spec
 from repairopt.lpcore import solve_min_cost
-from repairopt.netmodel import CostMatrix, NetworkSpec, build_topology
+from repairopt.netmodel import CostMatrix, NetworkSpec, TopologyError, build_topology
 from oracles import max_flow_value
 
 
@@ -23,16 +22,16 @@ def rows_as_set(cs):
 
 class TestBuildFlowGraph:
     def test_tandem_edges(self):
-        fg = build_flow_graph(tandem4())
+        fg = build_flow_graph(fixture_spec("tandem-n4"))
         assert fg.edge_index == ((1, 2), (2, 3), (3, 4))
 
     def test_grid_edges(self):
-        fg = build_flow_graph(grid2x3())
+        fg = build_flow_graph(fixture_spec("grid-2x3"))
         assert fg.edge_index == ((1, 2), (1, 4), (2, 3), (2, 5), (3, 6),
                                  (4, 5), (5, 6))
 
     def test_star_keeps_only_paths_to_new_node(self):
-        fg = build_flow_graph(star6())
+        fg = build_flow_graph(fixture_spec("star-n6"))
         assert fg.edge_index == ((2, 1), (3, 2), (4, 2), (5, 2), (6, 2))
 
     def test_unreachable_edges_dropped(self):
@@ -49,15 +48,15 @@ class TestBuildFlowGraph:
     def test_no_route_raises(self):
         # the only route runs through a non-helper, which may not relay
         cm = CostMatrix(3, {(1, 2): Fraction(1), (2, 3): Fraction(1)})
-        with pytest.raises(FlowGraphError):
-            build_flow_graph(NetworkSpec(
-                n=3, k=1, d=1, alpha=Fraction(2), M=Fraction(2), failed=3,
-                helpers=(1,), cost=cm))
+        spec = NetworkSpec(n=3, k=1, d=1, alpha=Fraction(2), M=Fraction(2), failed=3,
+                           helpers=(1,), cost=cm)
+        with pytest.raises(TopologyError, match="no helper can reach the new node"):
+            build_flow_graph(spec)
 
 
 class TestEnumeration:
     def test_tandem_pre_reduction_rows(self):
-        fg = build_flow_graph(tandem4())
+        fg = build_flow_graph(fixture_spec("tandem-n4"))
         cs = enumerate_cut_constraints(fg, reduce=False)
         # z order (z12, z23, z34); the dominated middle row is retained
         assert rows_as_set(cs) == {
@@ -67,7 +66,7 @@ class TestEnumeration:
         }
 
     def test_tandem_reduced_rows(self):
-        fg = build_flow_graph(tandem4())
+        fg = build_flow_graph(fixture_spec("tandem-n4"))
         cs = enumerate_cut_constraints(fg)
         assert rows_as_set(cs) == {
             ((0, 0, 1), Fraction(2)),
@@ -89,7 +88,7 @@ class TestEnumeration:
         }
 
     def test_star_rows(self):
-        cs = enumerate_cut_constraints(build_flow_graph(star6()))
+        cs = enumerate_cut_constraints(build_flow_graph(fixture_spec("star-n6")))
         assert cs.edge_index == ((2, 1), (3, 2), (4, 2), (5, 2), (6, 2))
         expected = {((1, 0, 0, 0, 0), Fraction(2))}
         for skipped in range(4):
@@ -100,39 +99,40 @@ class TestEnumeration:
 
     def test_rhs_formula(self):
         # every surviving row of the grid enumeration has rhs M - 3 alpha
-        spec = grid2x3()
+        spec = fixture_spec("grid-2x3")
         cs = enumerate_cut_constraints(build_flow_graph(spec))
         assert set(cs.rhs) == {spec.M - 3 * spec.alpha}
 
     def test_enumeration_capped(self):
         spec = build_topology("complete", 13, k=3, M=6, alpha=2, failed=13)
-        with pytest.raises(FlowGraphError):
-            enumerate_cut_constraints(build_flow_graph(spec))
+        fg = build_flow_graph(spec)
+        with pytest.raises(TopologyError, match="capped at n <= 12"):
+            enumerate_cut_constraints(fg)
 
 
 class TestCheckFeasible:
     def test_known_points(self):
-        cs = enumerate_cut_constraints(build_flow_graph(tandem4()))
+        cs = enumerate_cut_constraints(build_flow_graph(fixture_spec("tandem-n4")))
         assert check_feasible(cs, (0, 2, 2))
         assert not check_feasible(cs, (0, 0, 0))
         assert not check_feasible(cs, (0, -1, 3))
 
     def test_grid_reference_point(self):
-        cs = enumerate_cut_constraints(build_flow_graph(grid2x3()))
+        cs = enumerate_cut_constraints(build_flow_graph(fixture_spec("grid-2x3")))
         assert check_feasible(cs, (0, 1, 0, 1, 1, 2, 2))
 
     def test_length_mismatch(self):
-        cs = enumerate_cut_constraints(build_flow_graph(tandem4()))
+        cs = enumerate_cut_constraints(build_flow_graph(fixture_spec("tandem-n4")))
         with pytest.raises(ValueError):
             check_feasible(cs, (1, 2))
 
 
 class TestProperties:
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_max_flow_completeness(self, name):
         """check_feasible agrees with the numeric min-cut for every
         data-collector attachment (the independent oracle)."""
-        spec = BUILDERS[name]()
+        spec = fixture_spec(name)
         cs = enumerate_cut_constraints(build_flow_graph(spec))
         rng = random.Random(20240811)
         for _ in range(25):
@@ -143,9 +143,9 @@ class TestProperties:
                 for K in combinations(spec.helpers, spec.k - 1))
             assert by_cuts == by_flow, (name, z)
 
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_reduction_soundness(self, name):
-        spec = BUILDERS[name]()
+        spec = fixture_spec(name)
         fg = build_flow_graph(spec)
         raw = enumerate_cut_constraints(fg, reduce=False)
         reduced = enumerate_cut_constraints(fg)
@@ -157,7 +157,7 @@ class TestProperties:
 
     def test_monotonicity_adding_links(self):
         """Opening an extra link can only keep or lower the optimum."""
-        full = complete5_unit()
+        full = fixture_spec("complete-n5-unit")
         lp_full = solve_min_cost(*repair_cuts(full)).value
 
         entries = {e: Fraction(1) for e in full.cost.edges() if e != (1, 2)}

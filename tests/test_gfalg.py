@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import leibniz_det, trial_division_is_prime
 
 from repairopt.coder import code_field, make_plan, simulate_stages
-from repairopt.fixtures import BUILDERS
+from repairopt.fixtures import FIXTURES, fixture_spec
 from repairopt.gfalg import (
     PRIME_SEARCH_LIMIT,
     echelon,
@@ -42,8 +42,8 @@ def field_bounds():
     """Every d0 that `code` picks its field from on the fixtures (at every
     failure position) and on the benchmark's grid 3x3 k4, and the one d0
     that `simulate` on grid 2x3 k3 picks its field from."""
-    specs = [respec_failure(build(), f) for build in BUILDERS.values()
-             for f in range(1, build().n + 1)]
+    specs = [respec_failure(spec, f) for spec in map(fixture_spec, FIXTURES)
+             for f in range(1, spec.n + 1)]
     specs += [build_topology("grid", 9, k=4, M=8, alpha=2, rows=3, cols=3, failed=f)
               for f in (9, 1, 5)]
     sim = build_topology("grid", 6, k=3, M=6, alpha=2, rows=2, cols=3)

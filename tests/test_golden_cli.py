@@ -30,7 +30,7 @@ from click.testing import CliRunner
 
 from repairopt.cli import main
 from repairopt.coder import code_field, init_code, make_plan, regenerate
-from repairopt.fixtures import BUILDERS
+from repairopt.fixtures import FIXTURES, fixture_spec
 from repairopt.netmodel import spec_to_json
 
 TANDEM = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "4", "--alpha", "2",
@@ -43,7 +43,7 @@ TANDEM_HALF = ("--topology", "tandem", "--n", "4", "--k", "2", "--M", "5", "--al
 # spec_to_json
 CASES = {
     **{f"code-{name}-seed{seed}": ("code", "--spec", f"@{name}", "--seed", str(seed))
-       for name in sorted(BUILDERS) for seed in (0, 7)},
+       for name in sorted(FIXTURES) for seed in (0, 7)},
     "simulate-grid-2x3-k3-seed1": (
         "simulate", "--topology", "grid", "--n", "6", "--k", "3", "--M", "6",
         "--alpha", "2", "--rows", "2", "--cols", "3", "--failed", "6",
@@ -159,7 +159,7 @@ def observed(case, tmp_path) -> tuple[str, int]:
     for arg in CASES[case]:
         if arg.startswith("@"):
             path = tmp_path / f"{arg[1:]}.json"
-            path.write_text(json.dumps(spec_to_json(BUILDERS[arg[1:]]())))
+            path.write_text(json.dumps(spec_to_json(fixture_spec(arg[1:]))))
             arg = str(path)
         args.append(arg)
     result = CliRunner().invoke(main, args, env={"REPAIROPT_SEED": None, **ENV.get(case, {})})
@@ -200,7 +200,7 @@ REPAIRED = {
 
 
 def repaired_digest(name) -> str:
-    spec = BUILDERS[name]()
+    spec = fixture_spec(name)
     plan = make_plan(spec)
     _, q = code_field(spec.n, spec.k, int(spec.M * plan.scale), plan.n_nc)
     state, _ = init_code(spec, q, rng=random.Random(7), scale=plan.scale)
@@ -208,6 +208,6 @@ def repaired_digest(name) -> str:
     return hashlib.sha256(repr(repaired.columns).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_repaired_coefficients_unchanged(name):
     assert repaired_digest(name) == REPAIRED[name]

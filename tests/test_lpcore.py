@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import OracleError, brute_force_optimum
 
 from repairopt import lpcore
-from repairopt.fixtures import BUILDERS
+from repairopt.fixtures import FIXTURES
 from repairopt.flowgraph import ConstraintSet, check_feasible, repair_cuts
 from repairopt.lpcore import LPError, solve_min_cost, verify_dual
 from repairopt.netmodel import build_topology
@@ -171,7 +171,7 @@ class TestRandomSystems:
 class TestBlandFallback:
     def test_bland_throughout_keeps_fixture_optima(self, solved, monkeypatch):
         # solve (and cache) under the default rule before switching it off
-        reference = {name: solved(name) for name in BUILDERS}
+        reference = {name: solved(name) for name in FIXTURES}
         monkeypatch.setattr(lpcore, "_DEGENERATE_RUN_PER_ROW", 0)
         for name, (spec, cs, costs, sol) in reference.items():
             bland = solve_min_cost(cs, costs)

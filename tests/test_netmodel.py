@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repairopt.fixtures import BUILDERS
+from repairopt.fixtures import FIXTURES, fixture_spec
 from repairopt.netmodel import (
     CostMatrix,
     NetworkSpec,
@@ -126,6 +126,19 @@ class TestTopologies:
         with pytest.raises(TopologyError):
             build_topology("grid", 6, k=4, M=8, rows=2, cols=2, failed=6)
 
+    @pytest.mark.parametrize("kind, shape, message", [
+        ("tandem", {"rows": 7}, "only a grid"),
+        ("complete", {"cols": 2}, "only a grid"),
+        ("star", {"center": 1, "rows": 2, "cols": 2}, "only a grid"),
+        ("tandem", {"center": 2}, "only a star"),
+        ("grid", {"center": 1, "rows": 2, "cols": 2}, "only a star")])
+    def test_shape_options_of_another_kind_are_refused(self, kind, shape, message):
+        with pytest.raises(TopologyError, match=message):
+            build_topology(kind, 4, k=2, M=4, **shape)
+        own = {key: value for key, value in shape.items()
+               if kind == ("star" if key == "center" else "grid")}
+        assert build_topology(kind, 4, k=2, M=4, **own).params == tuple(own.items())
+
     def test_unknown_kind(self):
         with pytest.raises(TopologyError):
             build_topology("ring", 5, k=3, M=6)
@@ -229,8 +242,7 @@ class TestWalk:
             CostMatrix(n, {**entries, (v, u): Fraction(1)})
 
     def test_topology_costs_match_path_enumeration(self):
-        for build in BUILDERS.values():
-            spec = build()
+        for spec in map(fixture_spec, FIXTURES):
             dist = spec.cost.costs_to(spec.failed)
             for v in range(1, spec.n + 1):
                 assert dist.get(v) == all_paths_min_cost(spec.cost, v, spec.failed)
@@ -303,10 +315,10 @@ class TestRespecAndJson:
         assert back.kind == "custom" and back.params == ()
         assert back.cost.cost(2, 1) == 1 and back.helpers == (2, 3, 4, 5)
 
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_json_keeps_kind_of_every_fixture(self, name):
         # non-unit link costs (complete-n5-cost3) carry over as overrides
-        spec = BUILDERS[name]()
+        spec = fixture_spec(name)
         assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
 
     @pytest.mark.parametrize("edit", ["added link", "flipped link", "dropped link",

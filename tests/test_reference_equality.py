@@ -10,10 +10,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from repairopt import lpcore
-from repairopt.fixtures import BUILDERS
+from repairopt.fixtures import FIXTURES, fixture_spec
 from repairopt.flowgraph import (
     ConstraintSet,
-    FlowGraphError,
     build_flow_graph,
     check_feasible,
     enumerate_cut_constraints,
@@ -64,9 +63,9 @@ POSITIONS = [pytest.param(name, f, id=f"{name}@{f}")
              for f in (fails or range(1, shape["n"] + 1))]
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixtures(name):
-    assert_matches_reference(BUILDERS[name]())
+    assert_matches_reference(fixture_spec(name))
 
 
 @pytest.mark.parametrize("name, failed", POSITIONS)
@@ -79,8 +78,8 @@ def test_benchmark_positions(name, failed):
 
 def test_fixtures_under_blands_rule_throughout(monkeypatch):
     monkeypatch.setattr(lpcore, "_DEGENERATE_RUN_PER_ROW", 0)
-    for name, builder in sorted(BUILDERS.items()):
-        spec = builder()
+    for name in sorted(FIXTURES):
+        spec = fixture_spec(name)
         cs = enumerate_cut_constraints(build_flow_graph(spec))
         costs = [spec.cost.cost(i, j) for (i, j) in cs.edge_index]
         assert solve_min_cost(cs, costs) == LPSolution(*reference_dual_simplex(
@@ -120,7 +119,7 @@ def small_specs(draw):
 def test_small_specs(spec):
     try:
         build_flow_graph(spec)
-    except FlowGraphError:
+    except TopologyError:
         assume(False)
     assert_matches_reference(spec)
 
