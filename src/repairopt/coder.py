@@ -11,11 +11,14 @@ coefficients need not equal the lost ones, only the any-k-reconstruct
 property (RCP) must survive. init_code and regenerate check it on every
 state they return, so their callers never check it again. verify_rcp walks
 the k-subsets depth first and shares the elimination of each common prefix
-among the subsets below it, carrying the later nodes' blocks modulo the
-prefix's span; init_code checks all C(n, k) subsets, regenerate only the
+among the subsets below it, carrying the later nodes' blocks as packed
+rows (one int per vector, see gfalg) reduced by the prefix's echelon
+basis; init_code checks all C(n, k) subsets, regenerate only the
 C(n-1, k-1) that contain the repaired node, the only ones a repair can
-break. A plan carries its edges, their link costs and its new node, so
-regenerate takes no network spec.
+break. regenerate sums each random combination in packed lanes and
+reduces it mod q once. init_code refuses, before it draws anything, a
+code whose check would run past WORK_BUDGET. A plan carries its edges,
+their link costs and its new node, so regenerate takes no network spec.
 
 Input the coder cannot use raises a ValueError (TopologyError, LPError
 or a plain one); RetryExhaustedError, the one error this module defines,
@@ -40,6 +43,9 @@ class RetryExhaustedError(RuntimeError):
 
 
 DEFAULT_RETRIES = 100
+# The most lane operations the any-k check of a fresh code may be
+# estimated to take; a code past it is refused before it is drawn.
+WORK_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -132,16 +138,17 @@ def verify_rcp(state: CodeState, through: int | None = None):
     that does not. With `through`, only the subsets that contain that node
     are checked.
 
-    The subsets are walked depth first in lexicographic order. Below each
-    prefix the later nodes' blocks are carried in quotient coordinates,
-    modulo the span of the prefix with its pivot columns dropped, so adding
-    a node reduces the later blocks against only that node's basis, and the
-    vectors shrink by alpha_s per level. At minimum storage
-    (M_s = k * alpha_s) a subset spans the file only if each node adds
-    alpha_s dimensions to the ones before it, so a prefix whose last node
-    adds fewer fails every subset below it, and its first completion is the
-    witness; a last node is one alpha_s x alpha_s rank check. A walk
-    through a node puts that node first.
+    The subsets are walked depth first in lexicographic order, on the
+    columns packed once per call. Below each prefix the later nodes' blocks
+    are carried reduced by the prefix's echelon basis, so every lane of a
+    prefix pivot reads 0 mod q; adding a node then reduces the later blocks
+    against only that node's basis, whose pivots are new lanes, and the
+    rank a block keeps is the rank it adds to the prefix. At minimum
+    storage (M_s = k * alpha_s) a subset spans the file only if each node
+    adds alpha_s dimensions to the ones before it, so a prefix whose last
+    node adds fewer fails every subset below it, and its first completion
+    is the witness; a last node is one rank check of its alpha_s reduced
+    rows. A walk through a node puts that node first.
     """
     q, k, alpha = state.q, state.k, state.alpha_s
     order = list(range(1, state.n + 1))
@@ -151,32 +158,45 @@ def verify_rcp(state: CodeState, through: int | None = None):
 
     def walk(prefix, nodes, vectors, stop):
         """The first failing subset that extends prefix by nodes[i:] with
-        i < stop; vectors holds the nodes' blocks, alpha rows each, modulo
-        the span of the prefix."""
+        i < stop; vectors holds the nodes' blocks, alpha packed rows each,
+        reduced by the span of the prefix."""
         need = k - len(prefix)
         for i in range(stop):
             subset = prefix + (nodes[i],)
             block = vectors[i * alpha:(i + 1) * alpha]
             if need == 1:
-                if gfalg.mat_rank(block, q) != alpha:
+                if gfalg.mat_rank(block, q, words) != alpha:
                     return subset
                 continue
-            basis = gfalg.echelon(block, q)
+            basis = gfalg.echelon(block, q, words)
             if len(basis) < alpha:
                 return subset + tuple(nodes[i + 1:i + need])
-            rest = gfalg.quotient(basis, vectors[(i + 1) * alpha:], q)
+            rest = gfalg.residuals(basis, vectors[(i + 1) * alpha:], q, words)
             found = walk(subset, nodes[i + 1:], rest, len(nodes) - i - need + 1)
             if found:
                 return found
         return None
 
-    vectors = [v for node in order for v in state.columns[node - 1]]
+    vectors, words = gfalg.pack_rows([v for node in order for v in state.columns[node - 1]], q)
     witness = walk((), order, vectors, 1 if through is not None else len(order) - k + 1)
     return (True, None) if witness is None else (False, tuple(sorted(witness)))
 
 
 def _random_columns(rng: random.Random, q: int, nrows: int, ncols: int):
     return tuple(tuple(rng.randrange(q) for _ in range(nrows)) for _ in range(ncols))
+
+
+def _check_work(n: int, k: int, alpha_s: int) -> None:
+    """Refuse a code whose any-k check would run past WORK_BUDGET: C(n, k)
+    eliminations of an M_s x M_s matrix, M_s^3 lane operations each,
+    bound the walk that shares them."""
+    subsets, M_s = math.comb(n, k), k * alpha_s
+    work = subsets * M_s**3
+    if work > WORK_BUDGET:
+        raise ValueError(
+            f"code too large to check: C({n}, {k}) = {subsets} subsets of nodes that "
+            f"store {alpha_s} subfragments each of a file of {M_s} take about "
+            f"{work:.1e} lane operations, past the budget of {WORK_BUDGET:.0e}")
 
 
 def init_code(spec: NetworkSpec, q: int, *, rng: random.Random, scale: int = 1,
@@ -187,6 +207,7 @@ def init_code(spec: NetworkSpec, q: int, *, rng: random.Random, scale: int = 1,
     if alpha_s.denominator != 1:
         raise ValueError("scale leaves alpha fractional")
     alpha_s = int(alpha_s)
+    _check_work(spec.n, spec.k, alpha_s)
     for attempt in range(1, retries + 1):
         cols = tuple(_random_columns(rng, q, spec.k * alpha_s, alpha_s) for _ in range(spec.n))
         state = CodeState(q=q, k=spec.k, alpha_s=alpha_s, scale=scale, columns=cols)
@@ -196,15 +217,16 @@ def init_code(spec: NetworkSpec, q: int, *, rng: random.Random, scale: int = 1,
     raise RetryExhaustedError(f"no valid initial code in {retries} attempts (q={q})")
 
 
-def _combine(rng: random.Random, pool, M_s: int, q: int) -> tuple[int, ...]:
-    """A random GF(q) combination of the vectors in pool, one draw each."""
-    combo = [0] * M_s
+def _combine(rng: random.Random, pool, q: int, M_s: int, words: int) -> list[int]:
+    """A random GF(q) combination of the packed vectors in pool, one draw
+    each: the draws' multiples are summed in the lanes and reduced mod q
+    once."""
+    combo = 0
     for vec in pool:
         c = rng.randrange(q)
         if c:
-            for r in range(M_s):
-                combo[r] += c * vec[r]
-    return tuple(x % q for x in combo)
+            combo += c * vec
+    return [x % q for x in gfalg._unpack(combo, M_s, words)]
 
 
 def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
@@ -232,21 +254,25 @@ def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
             f"plan delivers {inflow} subfragments, new node stores {state.alpha_s}")
     edges = [e for e, _ in active]
     order = topological_order({v for e in edges for v in e}, edges)
+    # a pool holds a node's own vectors and at most every message of the plan
+    words = gfalg._words(q, state.alpha_s + sum(c for _, c in active))
+    stored = [[gfalg._pack(vec, words) for vec in node] for node in state.columns]
 
     for attempt in range(1, retries + 1):
         received: dict[int, list] = {}
         for node in order:
             if node == plan.new_node:
                 continue
-            pool = list(state.columns[node - 1]) + received.get(node, [])
+            pool = stored[node - 1] + received.get(node, [])
             for (i, j), count in active:
                 if i == node:
                     received.setdefault(j, []).extend(
-                        _combine(rng, pool, M_s, q) for _ in range(count))
+                        gfalg._pack(_combine(rng, pool, q, M_s, words), words)
+                        for _ in range(count))
         pool = received.get(plan.new_node, [])
         columns = list(state.columns)
         columns[plan.new_node - 1] = tuple(
-            _combine(rng, pool, M_s, q) for _ in range(state.alpha_s))
+            tuple(_combine(rng, pool, q, M_s, words)) for _ in range(state.alpha_s))
         candidate = replace(state, columns=tuple(columns))
         ok, _ = verify_rcp(candidate, plan.new_node)
         if ok:

@@ -1,22 +1,29 @@
 """Prime-field arithmetic and exact linear algebra over GF(q).
 
-Matrices are plain row-major lists of ints in [0, q); all routines take
-the prime modulus explicitly. Elimination uses the first nonzero pivot in
-column order so ranks are reproducible.
+A vector over GF(q) is stored packed: one int whose lane i, `words`
+64-bit words wide, holds coordinate i. `pack_rows` packs a matrix and
+picks the lane width from q and the row length, wide enough that a lane
+never overflows into the next during an elimination. A row operation
+v - f * row is then one big-int multiply-add, v + (q - f) * row, whose
+lanes stay non-negative, so no lane borrows from its neighbour; lanes
+are taken mod q only where a pivot reads them and when a vector is
+unpacked to find and normalise a new pivot. Elimination uses the first
+nonzero pivot in column order so ranks are reproducible.
 
 Rank needs only forward elimination. `echelon` gives the span of a set of
-vectors as an echelon basis, a list of (pivot, tail) pairs in ascending
-pivot order, where tail is the basis vector from its pivot on and starts
-with 1 (every entry left of the pivot is 0). `quotient` maps vectors into
-the quotient space modulo such a span, dropping its pivot columns, so that
-the rank of a union of blocks can be taken one block at a time on vectors
-that shrink with every block.
+vectors as an echelon basis, a list of (pivot, row) pairs in ascending
+pivot order, where row is the packed basis vector, 1 at its pivot and 0
+left of it. `residuals` reduces vectors by such a basis in ascending
+pivot order, which zeroes (mod q) the lanes of its pivots, so that the
+rank of a union of blocks can be taken one block at a time.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import insort
-from operator import itemgetter, mul
+from operator import itemgetter
 
 # A field bound past this comes from a plan whose code initialisation
 # would run without end, so the search stops here.
@@ -26,6 +33,9 @@ PRIME_SEARCH_LIMIT = 10_000_000
 # (Sorenson and Webster, Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+_WORD = (1 << 64) - 1
+_SWAP = sys.byteorder == "big"   # packed ints are read as little-endian words
 
 
 def is_prime(x: int) -> bool:
@@ -64,56 +74,77 @@ def smallest_prime_geq(x: int) -> int:
     raise ValueError(f"prime search limit {PRIME_SEARCH_LIMIT} exceeded")
 
 
-def _residual(basis, vector, q: int) -> list[int]:
-    """The vector reduced by each basis vector in pivot order. Entries are
-    taken mod q only where a pivot reads them and on return."""
-    v = list(vector)
-    for p, tail in basis:
-        f = v[p] % q
+def _words(q: int, terms: int) -> int:
+    """The lane width, in 64-bit words, that holds a residue mod q plus
+    `terms` products of two residues."""
+    return (terms * q * q).bit_length() // 64 + 1
+
+
+def _pack(lanes, words: int) -> int:
+    """One int whose lane i holds lanes[i], each below 2^(64 * words)."""
+    if words > 1:                       # each lane as its words, lowest first
+        lanes = [x >> s & _WORD for x in lanes for s in range(0, 64 * words, 64)]
+    data = array("Q", lanes)
+    if _SWAP:
+        data.byteswap()
+    return int.from_bytes(data.tobytes(), "little")
+
+
+def _unpack(v: int, size: int, words: int) -> list[int]:
+    """The first `size` lanes of a packed vector, lowest first."""
+    data = array("Q", v.to_bytes(8 * words * size, "little"))
+    if _SWAP:
+        data.byteswap()
+    lanes = data[words - 1::words].tolist()
+    for j in range(words - 2, -1, -1):    # the lower words of wide lanes
+        lanes = [x << 64 | y for x, y in zip(lanes, data[j::words])]
+    return lanes
+
+
+def pack_rows(matrix, q: int) -> tuple[list[int], int]:
+    """The rows of a matrix over GF(q), packed, and their lane width in
+    words: wide enough for a row reduced once by every vector of a basis
+    of GF(q)^size."""
+    words = _words(q, max(map(len, matrix), default=0))
+    return [_pack(row, words) for row in matrix], words
+
+
+def _residual(basis, v: int, q: int, words: int) -> int:
+    """The packed vector reduced by each basis vector in pivot order; its
+    lanes are not reduced mod q."""
+    bits = 64 * words
+    mask = (1 << bits) - 1
+    for p, row in basis:
+        f = (v >> p * bits & mask) % q
         if f:
-            v[p:] = [x - f * y for x, y in zip(v[p:], tail)]
-    return [x % q for x in v]
+            v += (q - f) * row
+    return v
 
 
-def echelon(vectors, q: int) -> list[tuple[int, list[int]]]:
-    """Echelon basis of the span of the vectors; its length is their rank."""
-    basis: list[tuple[int, list[int]]] = []
-    for vector in vectors:
-        v = _residual(basis, vector, q)
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is not None:
-            inv = pow(v[p], -1, q)
-            insort(basis, (p, [x * inv % q for x in v[p:]]), key=itemgetter(0))
+def residuals(basis, vectors, q: int, words: int) -> list[int]:
+    """Each packed vector reduced by an echelon basis: a vector in its
+    span gets all lanes 0 mod q, every basis pivot's lane is 0 mod q, and
+    the residuals have the rank that the vectors add to the basis."""
+    return [_residual(basis, v, q, words) for v in vectors]
+
+
+def echelon(vectors, q: int, words: int) -> list[tuple[int, int]]:
+    """Echelon basis of the span of the packed vectors; its length is
+    their rank."""
+    bits = 64 * words
+    basis: list[tuple[int, int]] = []
+    for v in vectors:
+        v = _residual(basis, v, q, words)
+        lanes = _unpack(v, -(-v.bit_length() // bits), words)
+        for p, x in enumerate(lanes):
+            if x % q:
+                inv = pow(x, -1, q)
+                insort(basis, (p, _pack([y * inv % q for y in lanes], words)),
+                       key=itemgetter(0))
+                break
     return basis
 
 
-def quotient(basis, vectors, q: int) -> list[list[int]]:
-    """Each vector modulo the span of an echelon basis, in the coordinates
-    of the columns that hold no pivot. A vector in the span maps to all
-    zeros, and the images have the rank that the vectors add to the basis.
-
-    The basis is brought to reduced form (each pivot column zero but for
-    its own pivot), so a vector v leaves v - sum(v[p] * row_p) and each
-    kept entry is one dot product of v's pivot entries with a column of
-    the reduced rows."""
-    if not basis:
-        return [list(v) for v in vectors]
-    pivots = [p for p, _ in basis]
-    rows = [[0] * p + tail for p, tail in basis]
-    for i in range(len(rows) - 2, -1, -1):
-        for j in range(i + 1, len(rows)):
-            f = rows[i][pivots[j]]
-            if f:
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[j])]
-    kept = sorted(set(range(len(rows[0]))) - set(pivots))
-    columns = [[row[c] for row in rows] for c in kept]
-    out = []
-    for v in vectors:
-        head = [v[p] for p in pivots]
-        out.append([(v[c] - sum(map(mul, head, col))) % q
-                    for c, col in zip(kept, columns)])
-    return out
-
-
-def mat_rank(m: list[list[int]], q: int) -> int:
-    return len(echelon(m, q))
+def mat_rank(vectors, q: int, words: int) -> int:
+    """Rank of the packed vectors over GF(q)."""
+    return len(echelon(vectors, q, words))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,6 +224,18 @@ class TestCodeAndSimulate:
         result = run("code", *TANDEM, "--seed", "9", env={"REPAIROPT_SEED": "4"})
         assert json.loads(result.output)["seed"] == 9
         assert result.output == run("code", *TANDEM, "--seed", "9").output
+
+    @pytest.mark.parametrize("command", ["code", "simulate"])
+    def test_runaway_code_refused_up_front(self, command):
+        """At M = 100000 each of tandem n4's nodes stores 50000 vectors of
+        length 100000; the field bound stays under the prime search limit,
+        so only the work budget stops the any-k check."""
+        start = time.perf_counter()
+        result = run(command, "--topology", "tandem", "--n", "4", "--k", "2", "--M", "100000")
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert "C(4, 2) = 6 subsets" in result.output
+        assert "50000 subfragments each of a file of 100000" in result.output
 
     def test_simulate(self):
         result = run("simulate", *TANDEM, "--stages", "3", "--seed", "1")

@@ -199,12 +199,13 @@ class TestVerifyRcp:
     @staticmethod
     @st.composite
     def small_states(draw):
-        """A code state over a small field, often near-singular: a node
-        block repeated or a vector zeroed, so subsets fail at a leaf, at a
-        prefix and at the root of a walk through a node. With k = 4 a
-        quotient block is carried through three levels; alpha is then 1,
-        so the oracle's Leibniz determinants stay at most 6 x 6."""
-        q = draw(st.sampled_from([2, 3, 5, 7]))
+        """A code state, often near-singular: a node block repeated or a
+        vector zeroed, so subsets fail at a leaf, at a prefix and at the
+        root of a walk through a node. With k = 4 a reduced block is
+        carried through three levels; alpha is then 1, so the oracle's
+        Leibniz determinants stay at most 6 x 6. The field is small, or
+        large enough that a lane of a reduced row outgrows 64 bits."""
+        q = draw(st.sampled_from([2, 3, 5, 7, 2**31 - 1, 2**61 - 1, 18446744073709551629]))
         n = draw(st.integers(1, 7))
         k = draw(st.integers(1, min(4, n)))
         alpha = draw(st.integers(1, 2 if k < 4 else 1))
@@ -247,6 +248,21 @@ class TestInitCode:
 
         with pytest.raises(RetryExhaustedError):
             init_code(fixture_spec("tandem-n4"), 73, rng=ZeroRandom(), retries=3)
+
+    def test_work_budget(self):
+        """C(n, k) * M_s^3 against the budget, before any coefficient is
+        drawn: tandem n4 is refused at M_s = 1000 (6e9) and runs at 500
+        (7.5e8), and grid 3x3 k4 at scale 5, the largest code the benchmark
+        draws, is far below it (126 * 40^3, about 8.1e6)."""
+        assert coder.WORK_BUDGET == 10**9
+        rng = random.Random(0)
+        before = rng.getstate()
+        big = build_topology("tandem", 4, k=2, M=1000, alpha=500, failed=4)
+        with pytest.raises(ValueError, match=r"about 6\.0e\+09 lane operations"):
+            init_code(big, 1_800_017, rng=rng)
+        assert rng.getstate() == before
+        coder._check_work(4, 2, 250)
+        coder._check_work(9, 4, 10)
 
 
 class TestRegenerate:

@@ -9,12 +9,16 @@ from repairopt.gfalg import (
     echelon,
     is_prime,
     mat_rank,
-    quotient,
+    pack_rows,
+    residuals,
     smallest_prime_geq,
 )
 from repairopt.netmodel import build_topology, respec_failure
 
 PRIMES = [2, 5, 11, 727]
+# 2^31 - 1, 2^61 - 1 and the least prime above 2^64: a product of two
+# residues, and so a lane of a row being reduced, outgrows 64 bits
+LARGE_PRIMES = [2**31 - 1, 2**61 - 1, 18446744073709551629]
 
 prime_and_triple = st.sampled_from(PRIMES).flatmap(
     lambda q: st.tuples(st.just(q), st.integers(0, q - 1),
@@ -103,11 +107,23 @@ class TestFieldAxioms:
             assert a * pow(a, -1, q) % q == 1
 
 
+def rank(m, q):
+    rows, words = pack_rows(m, q)
+    return mat_rank(rows, q, words)
+
+
+def lanes(v, words, width, q):
+    """The coordinates mod q of a packed vector: lane j is the j-th
+    64 * words bits."""
+    bits = 64 * words
+    return [(v >> j * bits & (1 << bits) - 1) % q for j in range(width)]
+
+
 class TestMatrices:
     def test_rank_and_det(self):
-        assert mat_rank([[1, 2], [2, 4]], 5) == 1
+        assert rank([[1, 2], [2, 4]], 5) == 1
         assert leibniz_det([[1, 2], [2, 4]], 5) == 0
-        assert mat_rank([[1, 2], [3, 4]], 11) == 2
+        assert rank([[1, 2], [3, 4]], 11) == 2
         assert leibniz_det([[1, 2], [3, 4]], 11) == (4 - 6) % 11
 
     @settings(max_examples=60)
@@ -115,32 +131,93 @@ class TestMatrices:
     def test_random_square_det_vs_rank(self, q, n, rnd):
         m = [[rnd.randrange(q) for _ in range(n)] for _ in range(n)]
         det = leibniz_det(m, q)
-        rank = mat_rank(m, q)
-        assert (det != 0) == (rank == n)
+        assert (det != 0) == (rank(m, q) == n)
 
     def test_rank_of_wide_matrix(self):
         m = [[1, 0, 1], [0, 1, 1]]
-        assert mat_rank(m, 2) == 2
+        assert rank(m, 2) == 2
+
+    def test_lane_width_holds_a_reduced_row(self):
+        """A lane holds a residue plus one product of two residues per
+        coordinate: 6 * q^2 needs 65 bits at 2^31 - 1, 125 at 2^61 - 1
+        and 131 past 2^64, so the lanes are 2, 2 and 3 words wide."""
+        assert all(is_prime(q) for q in LARGE_PRIMES)
+        assert 18446744073709551629 - 2**64 == 13
+        assert not any(is_prime(x) for x in range(2**64, 2**64 + 13))
+        assert [pack_rows([[0] * 6], q)[1] for q in LARGE_PRIMES] == [2, 2, 3]
+        assert pack_rows([[0] * 40], 15121)[1] == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(LARGE_PRIMES), st.integers(1, 6), st.data())
+    def test_large_prime_det_vs_rank_and_echelon(self, q, n, data):
+        """Square matrices over a large field, with entries near q and a
+        row often a combination of the others, so that most have full rank
+        and many do not; the rank agrees with the Leibniz determinant and
+        the echelon basis is 1 at each pivot, 0 left of it."""
+        entry = st.one_of(st.integers(0, q - 1), st.integers(q - 3, q - 1), st.integers(0, 2))
+        m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        if n > 1 and data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+            m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) % q for j in range(n)]
+        rows, words = pack_rows(m, q)
+        basis = echelon(rows, q, words)
+        full = leibniz_det(m, q) != 0
+        assert (len(basis) == n) == full
+        assert mat_rank(rows, q, words) == len(basis)
+        assert [p for p, _ in basis] == sorted({p for p, _ in basis})
+        for p, row in basis:
+            assert lanes(row, words, n, q)[:p + 1] == [0] * p + [1]
+        if full:
+            assert [p for p, _ in basis] == list(range(n))
 
 
-class TestQuotient:
+    @pytest.mark.parametrize("q", LARGE_PRIMES)
+    @pytest.mark.parametrize("n", [6, 70])
+    def test_lanes_at_their_limit(self, q, n):
+        """Rows e_i + (q - 1) e_(n-1) for i < n - 1, then (1, ..., 1, c):
+        reducing the last row adds (q - 1)^2 to its last lane n - 1 times,
+        the most a lane of a row this long can take. The last row is in
+        the span of the others exactly when c = -(n - 1) mod q."""
+        m = [[int(j == i) for j in range(n - 1)] + [q - 1] for i in range(n - 1)]
+        for c, expected in ((q - (n - 1), n - 1), (0, n), (q - 1, n)):
+            rows, words = pack_rows(m + [[1] * (n - 1) + [c]], q)
+            assert mat_rank(rows, q, words) == expected
+
+
+class TestResiduals:
     def test_worked_example(self):
-        # modulo the span of (1, 2, 0) and (0, 0, 1) over GF(5) only column
-        # 1 is kept, and (a, b, c) maps to b - 2a
-        basis = echelon([[1, 2, 0], [0, 0, 1]], 5)
-        assert quotient(basis, [[1, 2, 3], [0, 1, 4], [3, 0, 0]], 5) == [[0], [1], [4]]
+        # modulo the span of (1, 2, 0) and (0, 0, 1) over GF(5), (a, b, c)
+        # keeps b - 2a in lane 1, and the pivot lanes 0 and 2 read 0
+        spanning, words = pack_rows([[1, 2, 0], [0, 0, 1]], 5)
+        vectors, _ = pack_rows([[1, 2, 3], [0, 1, 4], [3, 0, 0]], 5)
+        basis = echelon(spanning, 5, words)
+        assert [p for p, _ in basis] == [0, 2]
+        assert [lanes(v, words, 3, 5) for v in residuals(basis, vectors, 5, words)] == \
+            [[0, 0, 0], [0, 1, 0], [0, 4, 0]]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.data())
-    def test_rank_added_and_span_maps_to_zero(self, q, width, data):
+    @given(st.sampled_from([2, 3, 5, 7] + LARGE_PRIMES), st.integers(1, 6), st.data())
+    def test_span_reduces_to_zero_lanes(self, q, width, data):
+        vector = st.lists(st.integers(0, q - 1), min_size=width, max_size=width)
+        spanning = data.draw(st.lists(vector, max_size=width))
+        coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=len(spanning),
+                                    max_size=len(spanning)))
+        inside = [sum(c * v[j] for c, v in zip(coeffs, spanning)) % q for j in range(width)]
+        rows, words = pack_rows(spanning + [inside], q)
+        basis = echelon(rows[:-1], q, words)
+        assert lanes(residuals(basis, rows[-1:], q, words)[0], words, width, q) == [0] * width
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7] + LARGE_PRIMES), st.integers(1, 6), st.data())
+    def test_residual_rank_is_rank_added(self, q, width, data):
+        """The residuals have the rank the vectors add to the basis, and
+        read 0 mod q in every pivot lane of the basis."""
         vector = st.lists(st.integers(0, q - 1), min_size=width, max_size=width)
         spanning = data.draw(st.lists(vector, max_size=width))
         vectors = data.draw(st.lists(vector, max_size=4))
-        coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=len(spanning),
-                                    max_size=len(spanning)))
-        basis = echelon(spanning, q)
-        image = quotient(basis, vectors, q)
-        assert all(len(v) == width - len(basis) for v in image)
-        assert mat_rank(spanning + vectors, q) - len(basis) == mat_rank(image, q)
-        inside = [sum(c * v[j] for c, v in zip(coeffs, spanning)) % q for j in range(width)]
-        assert quotient(basis, [inside], q) == [[0] * (width - len(basis))]
+        rows, words = pack_rows(spanning + vectors, q)
+        basis = echelon(rows[:len(spanning)], q, words)
+        image = residuals(basis, rows[len(spanning):], q, words)
+        assert mat_rank(rows, q, words) - len(basis) == mat_rank(image, q, words)
+        for v in image:
+            assert all(lanes(v, words, width, q)[p] == 0 for p, _ in basis)
