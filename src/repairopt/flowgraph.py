@@ -64,20 +64,31 @@ class ConstraintSet:
             raise ValueError("row/rhs count mismatch")
 
 
+# private, though lpcore uses it too, so that tracers wrapping the public
+# functions of each module do not time it as a call of its own
+def _integer_scale(values) -> tuple[int, list[int]]:
+    """(s, s * values) with s the least common multiple of the values'
+    denominators, so the scaled values are integers. Only values that are
+    neither ints nor Fractions are converted: a Fraction's copy costs more
+    than its scaling."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def check_feasible(cs: ConstraintSet, z) -> bool:
     """Exact membership test for the constraint polytope (z >= 0, Lz >= b).
 
     z and b are scaled by the lcm of their denominators, so every row is
     an integer sum compared with an integer."""
-    z = tuple(Fraction(v) for v in z)
+    z = list(z)
     if len(z) != len(cs.edge_index):
         raise ValueError(f"z has {len(z)} entries, expected {len(cs.edge_index)}")
-    if any(v < 0 for v in z):
+    _, ints = _integer_scale([*z, *cs.rhs])
+    z_int, b_int = ints[:len(z)], ints[len(z):]
+    if any(v < 0 for v in z_int):
         return False
-    scale = math.lcm(*(v.denominator for v in z), *(b.denominator for b in cs.rhs))
-    z_int = [v.numerator * (scale // v.denominator) for v in z]
-    return all(sum(map(mul, row, z_int)) >= b.numerator * (scale // b.denominator)
-               for row, b in zip(cs.rows, cs.rhs))
+    return all(sum(map(mul, row, z_int)) >= b for row, b in zip(cs.rows, b_int))
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")

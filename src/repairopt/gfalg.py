@@ -25,10 +25,6 @@ from array import array
 from bisect import insort
 from operator import itemgetter
 
-# A field bound past this comes from a plan whose code initialisation
-# would run without end, so the search stops here.
-PRIME_SEARCH_LIMIT = 10_000_000
-
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -65,13 +61,13 @@ def is_prime(x: int) -> bool:
 
 
 def smallest_prime_geq(x: int) -> int:
-    """Least prime >= x, searched up to PRIME_SEARCH_LIMIT."""
+    """Least prime >= x; the search ends with is_prime's ValueError if it
+    reaches the bound past which primality is not decided."""
     if x < 2:
         raise ValueError("need x >= 2")
-    for p in range(x, PRIME_SEARCH_LIMIT + 1):
-        if is_prime(p):
-            return p
-    raise ValueError(f"prime search limit {PRIME_SEARCH_LIMIT} exceeded")
+    while not is_prime(x):
+        x += 1
+    return x
 
 
 def _words(q: int, terms: int) -> int:

@@ -7,11 +7,12 @@ exhaustive grid search instead of the simplex, the Leibniz formula
 instead of elimination, and a scan of every k-subset instead of the
 prefix-sharing walk of the any-k check.
 
-Four of them are earlier versions of package code, kept as references
+Five of them are earlier versions of package code, kept as references
 for its faster replacements: the cut enumerator that walks every vertex
 partition and every edge, the row-by-row Fraction feasibility check, the
-Fraction-tableau dual simplex, and the trial-division primality test. The package's results must equal theirs
-exactly.
+Fraction-tableau dual simplex, the Fraction audit of its dual
+certificate, and the trial-division primality test. The package's
+results must equal theirs exactly.
 """
 
 from collections import deque
@@ -307,3 +308,19 @@ def reference_dual_simplex(rows, rhs, costs, degenerate_run_per_row=1):
             z[bi] = beta[i]
     value = sum(c * v for c, v in zip(costs, z))
     return "optimal", value, tuple(z), tuple(cbar[m:]), pivots
+
+
+def reference_verify_dual(rows, rhs, costs, sol):
+    """Weak-duality audit of sol's dual y against rows.z >= rhs at costs:
+    y >= 0, y'L <= c' and y'b equal to sol.value, summed in Fractions."""
+    if sol.status != "optimal":
+        return False
+    y = sol.dual
+    if len(y) != len(rows):
+        return len(rows) == 0 and sol.value == 0
+    if any(v < 0 for v in y):
+        return False
+    for j in range(len(costs)):
+        if sum(y[i] * rows[i][j] for i in range(len(y))) > Fraction(costs[j]):
+            return False
+    return sum(yi * Fraction(bi) for yi, bi in zip(y, rhs)) == sol.value

@@ -228,8 +228,8 @@ class TestCodeAndSimulate:
     @pytest.mark.parametrize("command", ["code", "simulate"])
     def test_runaway_code_refused_up_front(self, command):
         """At M = 100000 each of tandem n4's nodes stores 50000 vectors of
-        length 100000; the field bound stays under the prime search limit,
-        so only the work budget stops the any-k check."""
+        length 100000; the work budget stops the any-k check before it
+        starts."""
         start = time.perf_counter()
         result = run(command, "--topology", "tandem", "--n", "4", "--k", "2", "--M", "100000")
         assert time.perf_counter() - start < 1
@@ -414,7 +414,7 @@ class TestCleanErrors:
     @pytest.mark.parametrize("flags, message", [
         (("--M", "inf"), "alpha and M must be finite"),
         (("--M", "4", "--k", "0"), "need k >= 1"),
-        (("--M", "1000000"), "prime search limit 10000000 exceeded")])
+        (("--M", "1000000"), "code too large to check")])
     @pytest.mark.parametrize("command", ["code", "simulate"])
     def test_spec_and_field_escapes(self, command, flags, message):
         tandem = ("--topology", "tandem", "--n", "4", "--k", "2")

@@ -5,7 +5,6 @@ from oracles import leibniz_det, trial_division_is_prime
 from repairopt.coder import code_field, make_plan, simulate_stages
 from repairopt.fixtures import FIXTURES, fixture_spec
 from repairopt.gfalg import (
-    PRIME_SEARCH_LIMIT,
     echelon,
     is_prime,
     mat_rank,
@@ -35,11 +34,11 @@ class TestPrimes:
         assert smallest_prime_geq(721) == 727
         assert smallest_prime_geq(2) == 2
         assert smallest_prime_geq(14) == 17
-
-    def test_search_limit(self):
-        assert smallest_prime_geq(PRIME_SEARCH_LIMIT - 10) == 9_999_991
-        with pytest.raises(ValueError, match="prime search limit"):
-            smallest_prime_geq(PRIME_SEARCH_LIMIT + 1)
+        # no search limit: past 10^7 the search goes on to the next prime,
+        # and it is refused only where Miller-Rabin stops deciding primality
+        assert smallest_prime_geq(10**7 + 1) == 10_000_019
+        with pytest.raises(ValueError, match="cannot decide"):
+            smallest_prime_geq(3_317_044_064_679_887_385_961_981)
 
 
 def field_bounds():

@@ -1,9 +1,16 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import OracleError, brute_force_optimum
+from oracles import (
+    OracleError,
+    brute_force_optimum,
+    reference_dual_simplex,
+    reference_verify_dual,
+)
 
 from repairopt import lpcore
 from repairopt.fixtures import FIXTURES
@@ -166,6 +173,65 @@ class TestRandomSystems:
         assert sol.value == brute_force_optimum(cs, costs, granularity=2)
         assert verify_dual(cs, costs, sol)
         assert check_feasible(cs, sol.z_star)
+
+
+class TestDualAudit:
+    """The integer audit gives the Fraction audit's verdict on every dual
+    the solver returns and on near misses of it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_systems, st.data())
+    def test_matches_fraction_audit(self, system, data):
+        rows, costs, m = system
+        cs = make_cs([r for r, _ in rows], [b for _, b in rows],
+                     edges=tuple((i, m + 1) for i in range(1, m + 1)))
+        sol = solve_min_cost(cs, costs)
+
+        def verdict(dual, value=sol.value):
+            probe = replace(sol, dual=tuple(dual), value=value)
+            audit = verify_dual(cs, costs, probe)
+            assert audit == reference_verify_dual(cs.rows, cs.rhs, costs, probe)
+            return audit
+
+        y = list(sol.dual)
+        assert verdict(y) == (sol.status == "optimal")
+        step = Fraction(1, math.lcm(*(v.denominator for v in y)))
+        verdict(y[:-1])
+        verdict(y + [Fraction(0)])
+        verdict(y, sol.value + step)
+        verdict(y, sol.value - step)
+        if y:
+            i, j = data.draw(st.lists(st.integers(0, len(y) - 1), min_size=2, max_size=2))
+            verdict(y[:i] + [-y[i]] + y[i + 1:])
+            for move in (step, -step):
+                verdict(y[:i] + [y[i] + move] + y[i + 1:])
+                moved = list(y)
+                moved[i] += move
+                moved[j] -= move
+                verdict(moved)
+
+
+class TestTieBreak:
+    """Ratio-test ties go to the highest variable label, or under Bland's
+    rule the lowest, wherever the tied columns sit. In z3 >= 1,
+    z1 + z3 >= 2, z1 + z2 >= 2 at costs (1, 1, 2), either rule's first two
+    pivots leave column 0 holding the second row's slack (label 4); the
+    third ties it with z2 (label 1) in column 1. The slack wins by default
+    and z2 under Bland's rule; ties by position would swap the vertices."""
+
+    CS = make_cs([(0, 0, 1), (1, 0, 1), (1, 1, 0)], [1, 2, 2], edges=((1, 4), (2, 4), (3, 4)))
+    COSTS = (1, 1, 2)
+
+    @pytest.mark.parametrize("run, vertex", [(1, (2, 0, 1)), (0, (1, 1, 1))],
+                             ids=["highest-label", "bland-lowest-label"])
+    def test_tie_goes_by_label(self, run, vertex, monkeypatch):
+        monkeypatch.setattr(lpcore, "_DEGENERATE_RUN_PER_ROW", run)
+        sol = solve_min_cost(self.CS, self.COSTS)
+        assert (sol.status, sol.value, sol.z_star, sol.dual, sol.pivots) == \
+            reference_dual_simplex(self.CS.rows, self.CS.rhs, self.COSTS, run)
+        assert sol.pivots == 3
+        assert sol.z_star == vertex
+        assert sol.dual == (2, 0, 1)
 
 
 class TestBlandFallback:
