@@ -34,8 +34,11 @@ class TestPrimes:
         assert smallest_prime_geq(721) == 727
         assert smallest_prime_geq(2) == 2
         assert smallest_prime_geq(14) == 17
-        # no search limit: past 10^7 the search goes on to the next prime,
-        # and it is refused only where Miller-Rabin stops deciding primality
+
+    def test_search_limit(self):
+        # no fixed search limit: the search runs on past 10^7 to the next
+        # prime, and is refused only where Miller-Rabin stops deciding primality
+        assert smallest_prime_geq(10**7 - 10) == 9_999_991
         assert smallest_prime_geq(10**7 + 1) == 10_000_019
         with pytest.raises(ValueError, match="cannot decide"):
             smallest_prime_geq(3_317_044_064_679_887_385_961_981)
