@@ -263,8 +263,11 @@ def code(spec, seed, retries, out):
 @click.option("--out", type=click.Path())
 def simulate(spec, stages, seed, retries, out):
     """Run repeated failure/repair stages and verify the code each time."""
-    reports = coder.simulate_stages(spec, stages, seed, retries=retries)
-    _emit(_json({"seed": seed, "stages": reports}), out, "simulation.json")
+    reports, skipped = coder.simulate_stages(spec, stages, seed, retries=retries)
+    payload = {"seed": seed, "stages": reports}
+    if skipped:
+        payload["skipped"] = {str(node): reason for node, reason in skipped.items()}
+    _emit(_json(payload), out, "simulation.json")
 
 
 @main.command("exact-repair")

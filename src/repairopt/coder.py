@@ -1,8 +1,9 @@
 """Construction and verification of optimal-cost minimum-storage codes.
 
 The pipeline: make_plan solves the repair LP and scales the optimal
-subgraph to integral fragment counts; code_field picks a prime field from
-the degree bound; regenerate then executes the repair as random linear
+subgraph to integral fragment counts; code_field refuses a code whose
+any-k check would run past WORK_BUDGET, then picks a prime field from the
+degree bound; regenerate then executes the repair as random linear
 coding with surviving-node cooperation. Nodes are processed in topological
 order; each forwards fresh random combinations of everything it stores
 plus everything it received this stage, and the regenerated node keeps
@@ -12,13 +13,14 @@ property (RCP) must survive. init_code and regenerate check it on every
 state they return, so their callers never check it again. verify_rcp walks
 the k-subsets depth first and shares the elimination of each common prefix
 among the subsets below it, carrying the later nodes' blocks as packed
-rows (one int per vector, see gfalg) reduced by the prefix's echelon
-basis; init_code checks all C(n, k) subsets, regenerate only the
-C(n-1, k-1) that contain the repaired node, the only ones a repair can
-break. regenerate sums each random combination in packed lanes and
-reduces it mod q once. init_code refuses, before it draws anything, a
-code whose check would run past WORK_BUDGET. A plan carries its edges,
-their link costs and its new node, so regenerate takes no network spec.
+rows (one int per vector, one 64-bit lane per coordinate, see gfalg)
+reduced by the prefix's echelon basis; init_code checks all C(n, k)
+subsets, regenerate only the C(n-1, k-1) that contain the repaired node,
+the only ones a repair can break. regenerate sums each random
+combination in packed lanes and reduces it mod q once. A plan carries
+its edges, their link costs and its new node, so regenerate takes no
+network spec. Every field that code_field gives a code the budget admits
+fits one lane; gfalg refuses any that would not.
 
 Input the coder cannot use raises a ValueError (TopologyError, LPError
 or a plain one); RetryExhaustedError, the one error this module defines,
@@ -44,7 +46,7 @@ class RetryExhaustedError(RuntimeError):
 
 DEFAULT_RETRIES = 100
 # The most lane operations the any-k check of a fresh code may be
-# estimated to take; a code past it is refused before it is drawn.
+# estimated to take; code_field refuses a code past it.
 WORK_BUDGET = 10**9
 
 
@@ -87,10 +89,22 @@ def compute_n_nc(edges, counts, new_node: int) -> int:
 def code_field(n: int, k: int, M_s: int, n_nc: int) -> tuple[int, int]:
     """The field of a code whose file is M_s subfragments and whose
     repairs pass at most n_nc encoders: (d0, q), with d0 the degree bound
-    on the product of its code determinants and q the least prime above it."""
+    on the product of its code determinants and q the least prime above it.
+
+    First, before any prime search, a code whose any-k check would run
+    past WORK_BUDGET is refused: C(n, k) eliminations of an M_s x M_s
+    matrix, M_s^3 lane operations each, bound the walk that shares them.
+    A code is at minimum storage, so each node stores M_s / k subfragments."""
     if not (1 <= k <= n):
         raise ValueError("need n >= k >= 1")
-    d0 = math.comb(n, k) * M_s * n_nc
+    subsets = math.comb(n, k)
+    work = subsets * M_s**3
+    if work > WORK_BUDGET:
+        raise ValueError(
+            f"code too large to check: C({n}, {k}) = {subsets} subsets of nodes that "
+            f"store {M_s // k} subfragments each of a file of {M_s} take about "
+            f"{work:.1e} lane operations, past the budget of {WORK_BUDGET:.0e}")
+    d0 = subsets * M_s * n_nc
     return d0, gfalg.smallest_prime_geq(d0 + 1)
 
 
@@ -165,38 +179,25 @@ def verify_rcp(state: CodeState, through: int | None = None):
             subset = prefix + (nodes[i],)
             block = vectors[i * alpha:(i + 1) * alpha]
             if need == 1:
-                if gfalg.mat_rank(block, q, words) != alpha:
+                if gfalg.mat_rank(block, q) != alpha:
                     return subset
                 continue
-            basis = gfalg.echelon(block, q, words)
+            basis = gfalg.echelon(block, q)
             if len(basis) < alpha:
                 return subset + tuple(nodes[i + 1:i + need])
-            rest = gfalg.residuals(basis, vectors[(i + 1) * alpha:], q, words)
+            rest = gfalg.residuals(basis, vectors[(i + 1) * alpha:], q)
             found = walk(subset, nodes[i + 1:], rest, len(nodes) - i - need + 1)
             if found:
                 return found
         return None
 
-    vectors, words = gfalg.pack_rows([v for node in order for v in state.columns[node - 1]], q)
+    vectors = gfalg.pack_rows([v for node in order for v in state.columns[node - 1]], q)
     witness = walk((), order, vectors, 1 if through is not None else len(order) - k + 1)
     return (True, None) if witness is None else (False, tuple(sorted(witness)))
 
 
 def _random_columns(rng: random.Random, q: int, nrows: int, ncols: int):
     return tuple(tuple(rng.randrange(q) for _ in range(nrows)) for _ in range(ncols))
-
-
-def _check_work(n: int, k: int, alpha_s: int) -> None:
-    """Refuse a code whose any-k check would run past WORK_BUDGET: C(n, k)
-    eliminations of an M_s x M_s matrix, M_s^3 lane operations each,
-    bound the walk that shares them."""
-    subsets, M_s = math.comb(n, k), k * alpha_s
-    work = subsets * M_s**3
-    if work > WORK_BUDGET:
-        raise ValueError(
-            f"code too large to check: C({n}, {k}) = {subsets} subsets of nodes that "
-            f"store {alpha_s} subfragments each of a file of {M_s} take about "
-            f"{work:.1e} lane operations, past the budget of {WORK_BUDGET:.0e}")
 
 
 def init_code(spec: NetworkSpec, q: int, *, rng: random.Random, scale: int = 1,
@@ -207,7 +208,6 @@ def init_code(spec: NetworkSpec, q: int, *, rng: random.Random, scale: int = 1,
     if alpha_s.denominator != 1:
         raise ValueError("scale leaves alpha fractional")
     alpha_s = int(alpha_s)
-    _check_work(spec.n, spec.k, alpha_s)
     for attempt in range(1, retries + 1):
         cols = tuple(_random_columns(rng, q, spec.k * alpha_s, alpha_s) for _ in range(spec.n))
         state = CodeState(q=q, k=spec.k, alpha_s=alpha_s, scale=scale, columns=cols)
@@ -217,7 +217,7 @@ def init_code(spec: NetworkSpec, q: int, *, rng: random.Random, scale: int = 1,
     raise RetryExhaustedError(f"no valid initial code in {retries} attempts (q={q})")
 
 
-def _combine(rng: random.Random, pool, q: int, M_s: int, words: int) -> list[int]:
+def _combine(rng: random.Random, pool, q: int, M_s: int) -> list[int]:
     """A random GF(q) combination of the packed vectors in pool, one draw
     each: the draws' multiples are summed in the lanes and reduced mod q
     once."""
@@ -226,7 +226,7 @@ def _combine(rng: random.Random, pool, q: int, M_s: int, words: int) -> list[int
         c = rng.randrange(q)
         if c:
             combo += c * vec
-    return [x % q for x in gfalg._unpack(combo, M_s, words)]
+    return [x % q for x in gfalg._unpack(combo, M_s)]
 
 
 def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
@@ -255,8 +255,8 @@ def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
     edges = [e for e, _ in active]
     order = topological_order({v for e in edges for v in e}, edges)
     # a pool holds a node's own vectors and at most every message of the plan
-    words = gfalg._words(q, state.alpha_s + sum(c for _, c in active))
-    stored = [[gfalg._pack(vec, words) for vec in node] for node in state.columns]
+    gfalg._check_lanes(q, state.alpha_s + sum(c for _, c in active))
+    stored = [[gfalg._pack(vec) for vec in node] for node in state.columns]
 
     for attempt in range(1, retries + 1):
         received: dict[int, list] = {}
@@ -267,12 +267,12 @@ def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
             for (i, j), count in active:
                 if i == node:
                     received.setdefault(j, []).extend(
-                        gfalg._pack(_combine(rng, pool, q, M_s, words), words)
+                        gfalg._pack(_combine(rng, pool, q, M_s))
                         for _ in range(count))
         pool = received.get(plan.new_node, [])
         columns = list(state.columns)
         columns[plan.new_node - 1] = tuple(
-            tuple(_combine(rng, pool, q, M_s, words)) for _ in range(state.alpha_s))
+            tuple(_combine(rng, pool, q, M_s)) for _ in range(state.alpha_s))
         candidate = replace(state, columns=tuple(columns))
         ok, _ = verify_rcp(candidate, plan.new_node)
         if ok:
@@ -305,10 +305,13 @@ def run_repair(spec: NetworkSpec, seed=None, *, retries: int = DEFAULT_RETRIES) 
 
 
 def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
-                    retries: int = DEFAULT_RETRIES) -> list[dict]:
-    """T rounds of uniform failure, LP planning, repair and verification.
+                    retries: int = DEFAULT_RETRIES) -> tuple[list[dict], dict[int, str]]:
+    """T rounds of uniform failure, LP planning, repair and verification;
+    returns (one report per stage, the reason each skipped position was
+    skipped).
 
-    Plans for every repairable node are computed up front; a single
+    Plans for every repairable node are computed up front; a position
+    whose plan raises TopologyError is skipped, and never fails. A single
     subfragment scale (the lcm over those plans) and a single field,
     chosen from the conservative bound n_nc <= n, keep one code state
     alive across all stages even when some optima are fractional.
@@ -318,11 +321,12 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
     spec.require_msr()  # before the loop, which skips a position that raises TopologyError
     rng = random.Random(seed)
     plans: dict[int, RepairPlan] = {}
+    skipped: dict[int, str] = {}
     for node in range(1, spec.n + 1):
         try:
             plans[node] = make_plan(respec_failure(spec, node))
-        except TopologyError:
-            continue
+        except TopologyError as exc:
+            skipped[node] = str(exc)
     if not plans:
         raise TopologyError("no node of this network is repairable")
     # every plan's scale is a multiple of M.denominator, so M * scale is integral
@@ -350,4 +354,4 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
             "repair_attempts": attempts,
             "seed": seed,
         })
-    return reports
+    return reports, skipped

@@ -1,12 +1,11 @@
 """Prime-field arithmetic and exact linear algebra over GF(q).
 
-A vector over GF(q) is stored packed: one int whose lane i, `words`
-64-bit words wide, holds coordinate i. `pack_rows` packs a matrix and
-picks the lane width from q and the row length, wide enough that a lane
-never overflows into the next during an elimination. A row operation
-v - f * row is then one big-int multiply-add, v + (q - f) * row, whose
-lanes stay non-negative, so no lane borrows from its neighbour; lanes
-are taken mod q only where a pivot reads them and when a vector is
+A vector over GF(q) is stored packed: one int whose lane i, one 64-bit
+word, holds coordinate i. `pack_rows` packs a matrix, and refuses a field
+whose lanes could overflow into the next during an elimination. A row
+operation v - f * row is then one big-int multiply-add, v + (q - f) * row,
+whose lanes stay non-negative, so no lane borrows from its neighbour;
+lanes are taken mod q only where a pivot reads them and when a vector is
 unpacked to find and normalise a new pivot. Elimination uses the first
 nonzero pivot in column order so ranks are reproducible.
 
@@ -31,7 +30,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 _WORD = (1 << 64) - 1
-_SWAP = sys.byteorder == "big"   # packed ints are read as little-endian words
+_SWAP = sys.byteorder == "big"   # packed ints are read as little-endian lanes
 
 
 def is_prime(x: int) -> bool:
@@ -70,77 +69,70 @@ def smallest_prime_geq(x: int) -> int:
     return x
 
 
-def _words(q: int, terms: int) -> int:
-    """The lane width, in 64-bit words, that holds a residue mod q plus
-    `terms` products of two residues."""
-    return (terms * q * q).bit_length() // 64 + 1
+def _check_lanes(q: int, terms: int) -> None:
+    """Refuse a field whose lane, a residue mod q plus `terms` products of
+    two residues, could outgrow one 64-bit word."""
+    if (terms * q * q).bit_length() >= 64:
+        raise ValueError(f"GF({q}) is too large for packed vectors of {terms} terms: "
+                         f"{terms} * q^2 does not fit one 64-bit lane")
 
 
-def _pack(lanes, words: int) -> int:
-    """One int whose lane i holds lanes[i], each below 2^(64 * words)."""
-    if words > 1:                       # each lane as its words, lowest first
-        lanes = [x >> s & _WORD for x in lanes for s in range(0, 64 * words, 64)]
+def _pack(lanes) -> int:
+    """One int whose lane i holds lanes[i], each below 2^64."""
     data = array("Q", lanes)
     if _SWAP:
         data.byteswap()
     return int.from_bytes(data.tobytes(), "little")
 
 
-def _unpack(v: int, size: int, words: int) -> list[int]:
+def _unpack(v: int, size: int) -> list[int]:
     """The first `size` lanes of a packed vector, lowest first."""
-    data = array("Q", v.to_bytes(8 * words * size, "little"))
+    data = array("Q", v.to_bytes(8 * size, "little"))
     if _SWAP:
         data.byteswap()
-    lanes = data[words - 1::words].tolist()
-    for j in range(words - 2, -1, -1):    # the lower words of wide lanes
-        lanes = [x << 64 | y for x, y in zip(lanes, data[j::words])]
-    return lanes
+    return data.tolist()
 
 
-def pack_rows(matrix, q: int) -> tuple[list[int], int]:
-    """The rows of a matrix over GF(q), packed, and their lane width in
-    words: wide enough for a row reduced once by every vector of a basis
-    of GF(q)^size."""
-    words = _words(q, max(map(len, matrix), default=0))
-    return [_pack(row, words) for row in matrix], words
+def pack_rows(matrix, q: int) -> list[int]:
+    """The rows of a matrix over GF(q), packed; a field is refused unless
+    one lane holds a row reduced once by every vector of a basis of
+    GF(q)^size."""
+    _check_lanes(q, max(map(len, matrix), default=0))
+    return [_pack(row) for row in matrix]
 
 
-def _residual(basis, v: int, q: int, words: int) -> int:
+def _residual(basis, v: int, q: int) -> int:
     """The packed vector reduced by each basis vector in pivot order; its
     lanes are not reduced mod q."""
-    bits = 64 * words
-    mask = (1 << bits) - 1
     for p, row in basis:
-        f = (v >> p * bits & mask) % q
+        f = (v >> 64 * p & _WORD) % q
         if f:
             v += (q - f) * row
     return v
 
 
-def residuals(basis, vectors, q: int, words: int) -> list[int]:
+def residuals(basis, vectors, q: int) -> list[int]:
     """Each packed vector reduced by an echelon basis: a vector in its
     span gets all lanes 0 mod q, every basis pivot's lane is 0 mod q, and
     the residuals have the rank that the vectors add to the basis."""
-    return [_residual(basis, v, q, words) for v in vectors]
+    return [_residual(basis, v, q) for v in vectors]
 
 
-def echelon(vectors, q: int, words: int) -> list[tuple[int, int]]:
+def echelon(vectors, q: int) -> list[tuple[int, int]]:
     """Echelon basis of the span of the packed vectors; its length is
     their rank."""
-    bits = 64 * words
     basis: list[tuple[int, int]] = []
     for v in vectors:
-        v = _residual(basis, v, q, words)
-        lanes = _unpack(v, -(-v.bit_length() // bits), words)
+        v = _residual(basis, v, q)
+        lanes = _unpack(v, -(-v.bit_length() // 64))
         for p, x in enumerate(lanes):
             if x % q:
                 inv = pow(x, -1, q)
-                insort(basis, (p, _pack([y * inv % q for y in lanes], words)),
-                       key=itemgetter(0))
+                insort(basis, (p, _pack([y * inv % q for y in lanes])), key=itemgetter(0))
                 break
     return basis
 
 
-def mat_rank(vectors, q: int, words: int) -> int:
+def mat_rank(vectors, q: int) -> int:
     """Rank of the packed vectors over GF(q)."""
-    return len(echelon(vectors, q, words))
+    return len(echelon(vectors, q))

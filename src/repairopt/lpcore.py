@@ -11,7 +11,9 @@ cbar_j / -a_rj (ties: the highest label). After as many consecutive
 degenerate pivots (ratio 0) as there are rows, Bland's rule takes over
 until the objective rises, so the pivot sequence is deterministic and
 cannot cycle. At the optimum the reduced costs of the slacks form a dual
-certificate y >= 0 with y'L <= c' and y'b equal to the optimum.
+certificate y >= 0 with y'L <= c' and y'b equal to the optimum, and
+solve_min_cost audits that certificate (verify_dual) before it returns an
+optimum, so every optimum it returns certifies itself.
 
 The tableau is condensed (Tucker 1960; Chvatal 1983): the identity
 columns of the basic variables are never stored. Each of the r
@@ -79,7 +81,8 @@ def _entering_column(row, cbar, cols, bland: bool):
 
 
 def solve_min_cost(cs: ConstraintSet, costs) -> LPSolution:
-    """Solve min c.z over the cut polytope with deterministic pivoting."""
+    """Solve min c.z over the cut polytope with deterministic pivoting;
+    an optimum whose dual certificate fails its audit raises LPError."""
     m = len(cs.edge_index)
     c_scale, c_int = _integer_scale(costs)
     if len(c_int) != m:
@@ -155,7 +158,10 @@ def solve_min_cost(cs: ConstraintSet, costs) -> LPSolution:
         if label >= m and cbar[j]:
             dual[label - m] = Fraction(cbar[j], c_den)
     value = Fraction(-cbar[-1], c_den * b_scale)
-    return LPSolution("optimal", value, tuple(z), tuple(dual), pivots)
+    sol = LPSolution("optimal", value, tuple(z), tuple(dual), pivots)
+    if not verify_dual(cs, costs, sol):
+        raise LPError("the optimum failed its dual certificate audit")
+    return sol
 
 
 def verify_dual(cs: ConstraintSet, costs, sol: LPSolution) -> bool:

@@ -316,12 +316,13 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
     d = len(helpers) if d is None else d
 
     links = _undirected_adjacency(kind, n, center, rows, cols)
-    entries: dict[tuple[int, int], Fraction] = {}
+    # the unit cost or the override as given: CostMatrix converts each once
+    entries = {}
     for (i, j) in _orient_toward(links, n, failed):
-        c = Fraction(1)
+        c = 1
         if overrides:
             c = overrides.get((i, j), overrides.get((j, i), c))
-        entries[(i, j)] = Fraction(c)
+        entries[(i, j)] = c
     cm = CostMatrix(n, entries)
     params: list[tuple[str, int]] = []
     if kind == "star":

@@ -188,13 +188,13 @@ def test_criterion_6_multi_stage():
     tandem_ok = grid_ok = True
     for seed in range(90):
         try:
-            reports = coder.simulate_stages(tandem, 20, seed=seed)
+            reports, _ = coder.simulate_stages(tandem, 20, seed=seed)
             tandem_ok &= all(r["rcp_ok"] for r in reports)
         except coder.RetryExhaustedError:
             exhausted += 1
     for seed in range(10):
         try:
-            reports = coder.simulate_stages(grid, 10, seed=seed)
+            reports, _ = coder.simulate_stages(grid, 10, seed=seed)
             grid_ok &= all(r["rcp_ok"] for r in reports)
         except coder.RetryExhaustedError:
             exhausted += 1

@@ -14,7 +14,7 @@ import test_coder
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repairopt import cli
+from repairopt import cli, lpcore
 from repairopt.cli import main
 from repairopt.flowgraph import build_flow_graph, enumerate_cut_constraints
 from repairopt.netmodel import TOPOLOGIES, build_topology, format_rational
@@ -241,8 +241,25 @@ class TestCodeAndSimulate:
         result = run("simulate", *TANDEM, "--stages", "3", "--seed", "1")
         assert result.exit_code == 0
         doc = json.loads(result.output)
+        assert list(doc) == ["seed", "stages"]
         assert len(doc["stages"]) == 3
         assert all(s["rcp_ok"] for s in doc["stages"])
+
+    def test_simulate_names_skipped_positions(self, tmp_path):
+        """A document without `kind` is a custom topology, which cannot be
+        re-derived for another failure: simulate repairs only node 4 and
+        says why it skipped nodes 1-3."""
+        doc = json.loads(run("topology", "gen", *TANDEM).output)
+        del doc["kind"], doc["params"]
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(doc))
+        result = run("simulate", "--spec", str(path), "--stages", "4", "--seed", "1")
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert list(doc) == ["seed", "stages", "skipped"]
+        assert {s["failed"] for s in doc["stages"]} == {4}
+        reason = "cannot re-derive a custom topology for a new failure"
+        assert doc["skipped"] == {"1": reason, "2": reason, "3": reason}
 
 
 class TestExactRepair:
@@ -414,11 +431,21 @@ class TestCleanErrors:
     @pytest.mark.parametrize("flags, message", [
         (("--M", "inf"), "alpha and M must be finite"),
         (("--M", "4", "--k", "0"), "need k >= 1"),
-        (("--M", "1000000"), "code too large to check")])
+        (("--M", "1000000"), "code too large to check"),
+        # the budget refuses this code before its field bound, past 10^26,
+        # reaches a prime search that could not decide primality there
+        (("--M", "10000000000000000000000000"), "code too large to check")])
     @pytest.mark.parametrize("command", ["code", "simulate"])
     def test_spec_and_field_escapes(self, command, flags, message):
         tandem = ("--topology", "tandem", "--n", "4", "--k", "2")
         self.usage_error(run(command, *tandem, *flags), message)
+
+    def test_failed_dual_audit(self, monkeypatch):
+        """An optimum whose certificate fails the run-time audit is an
+        LPError, so `solve` refuses it instead of printing it."""
+        monkeypatch.setattr(lpcore, "verify_dual", lambda cs, costs, sol: False)
+        self.usage_error(run("solve", *TANDEM),
+                         "the optimum failed its dual certificate audit")
 
     @pytest.mark.parametrize("command", [("code", "--retries", "0"),
                                          ("simulate", "--stages", "0"),

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -63,6 +64,25 @@ class TestEncodingDepth:
         assert code_field(4, 2, 4, 3) == (72, 73)
         with pytest.raises(ValueError):
             code_field(2, 3, 4, 2)
+
+    def test_every_admitted_field_fits_one_lane(self):
+        """Every code of n <= 12 nodes that the work budget admits, with
+        the n_nc <= n bound that simulate uses, gets a field whose 64-bit
+        lanes hold a row of M_s coordinates being reduced. The largest
+        lane, M_s * q^2 = 1.3e14 (47 bits), is at n = 12, k = 6,
+        alpha_s = 17."""
+        largest = (0, None)
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                alpha_s = 1
+                while math.comb(n, k) * (k * alpha_s) ** 3 <= coder.WORK_BUDGET:
+                    M_s = k * alpha_s
+                    _, q = code_field(n, k, M_s, n)
+                    assert len(gfalg.pack_rows([[q - 1] * M_s], q)) == 1, (n, k, alpha_s)
+                    largest = max(largest, (M_s * q * q, (n, k, alpha_s, q)))
+                    alpha_s += 1
+        assert largest[1] == (12, 6, 17, 1_130_981)
+        assert largest[0].bit_length() == 47
 
 
 class TestPlans:
@@ -204,11 +224,13 @@ class TestVerifyRcp:
         root of a walk through a node. With k = 4 a reduced block is
         carried through three levels; alpha is then 1, so the oracle's
         Leibniz determinants stay at most 6 x 6. The field is small, or
-        large enough that a lane of a reduced row outgrows 64 bits."""
-        q = draw(st.sampled_from([2, 3, 5, 7, 2**31 - 1, 2**61 - 1, 18446744073709551629]))
+        the largest whose 64-bit lanes hold a row of 6 being reduced
+        (6 * q^2 has 63 bits), or 2^31 - 1, the largest for rows of 2."""
         n = draw(st.integers(1, 7))
         k = draw(st.integers(1, min(4, n)))
         alpha = draw(st.integers(1, 2 if k < 4 else 1))
+        q = draw(st.sampled_from([2, 3, 5, 7, 1_239_850_223]
+                                 + [2**31 - 1] * (k * alpha <= 2)))
         vector = st.tuples(*[st.integers(0, q - 1)] * (k * alpha))
         nodes = draw(st.lists(st.lists(vector, min_size=alpha, max_size=alpha),
                               min_size=n, max_size=n))
@@ -249,20 +271,30 @@ class TestInitCode:
         with pytest.raises(RetryExhaustedError):
             init_code(fixture_spec("tandem-n4"), 73, rng=ZeroRandom(), retries=3)
 
-    def test_work_budget(self):
-        """C(n, k) * M_s^3 against the budget, before any coefficient is
-        drawn: tandem n4 is refused at M_s = 1000 (6e9) and runs at 500
-        (7.5e8), and grid 3x3 k4 at scale 5, the largest code the benchmark
-        draws, is far below it (126 * 40^3, about 8.1e6)."""
+    def test_work_budget(self, monkeypatch):
+        """C(n, k) * M_s^3 against the budget, in code_field before any
+        prime search, and so before a code is drawn: tandem n4 is refused
+        at M_s = 1000 (6e9) and runs at 500 (7.5e8), and grid 3x3 k4 at
+        scale 5, the largest code the benchmark draws, is far below it
+        (126 * 40^3, about 8.1e6). A field bound past the Miller-Rabin
+        bound gets the budget's message, not a primality refusal."""
         assert coder.WORK_BUDGET == 10**9
-        rng = random.Random(0)
-        before = rng.getstate()
-        big = build_topology("tandem", 4, k=2, M=1000, alpha=500, failed=4)
-        with pytest.raises(ValueError, match=r"about 6\.0e\+09 lane operations"):
-            init_code(big, 1_800_017, rng=rng)
-        assert rng.getstate() == before
-        coder._check_work(4, 2, 250)
-        coder._check_work(9, 4, 10)
+        real, searched = gfalg.smallest_prime_geq, []
+        monkeypatch.setattr(gfalg, "smallest_prime_geq",
+                            lambda x: searched.append(x) or real(x))
+        with pytest.raises(ValueError, match=r"^code too large to check: C\(4, 2\) = 6 subsets "
+                           r"of nodes that store 500 subfragments each of a file of 1000 take "
+                           r"about 6\.0e\+09 lane operations, past the budget of 1e\+09$"):
+            code_field(4, 2, 1000, 4)
+        big = build_topology("tandem", 4, k=2, M=10**25, failed=4)
+        with pytest.raises(ValueError, match=r"code too large to check: .* 6\.0e\+75"):
+            run_repair(big, seed=0)
+        with pytest.raises(ValueError, match="code too large to check"):
+            simulate_stages(big, 1, seed=0)
+        assert searched == []
+        assert code_field(4, 2, 500, 4) == (12_000, 12_007)
+        assert code_field(9, 4, 40, 9) == (45_360, 45_361)
+        assert searched == [12_001, 45_361]
 
 
 class TestRegenerate:
@@ -302,13 +334,13 @@ class TestPipeline:
 
 class TestSimulation:
     def test_stage_count_and_rcp(self):
-        reports = simulate_stages(fixture_spec("tandem-n4"), 5, seed=11)
+        reports, _ = simulate_stages(fixture_spec("tandem-n4"), 5, seed=11)
         assert len(reports) == 5
         assert all(r["rcp_ok"] for r in reports)
         assert all(r["achieved_cost"] == r["lp_value"] for r in reports)
 
     def test_fractional_stages_share_one_field(self):
-        reports = simulate_stages(fixture_spec("grid-2x3"), 3, seed=4)
+        reports, _ = simulate_stages(fixture_spec("grid-2x3"), 3, seed=4)
         assert len({r["q"] for r in reports}) == 1
         assert all(r["rcp_ok"] for r in reports)
 
@@ -318,7 +350,7 @@ class TestSimulation:
         monkeypatch.setattr(gfalg, "smallest_prime_geq",
                             lambda x: searched.append(x) or real(x))
         spec = build_topology("grid", 6, k=3, M=6, alpha=2, rows=2, cols=3)
-        reports = simulate_stages(spec, 10, seed=0)
+        reports, _ = simulate_stages(spec, 10, seed=0)
         assert searched == [reports[0]["d0"] + 1]
 
     def test_needs_a_stage(self):

@@ -33,8 +33,7 @@ class TestInit:
             [sum(m * g[e][t] for e, m in enumerate(code.message)) % code.q
              for t in range(6)]
         for cols in combinations(range(6), 3):
-            block, words = pack_rows([[g[r][c] for c in cols] for r in range(3)], 7)
-            assert mat_rank(block, 7, words) == 3
+            assert mat_rank(pack_rows([[g[r][c] for c in cols] for r in range(3)], 7), 7) == 3
 
     def test_rejects_bad_field(self):
         with pytest.raises(ExactRepairError):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import leibniz_det, trial_division_is_prime
@@ -15,9 +17,23 @@ from repairopt.gfalg import (
 from repairopt.netmodel import build_topology, respec_failure
 
 PRIMES = [2, 5, 11, 727]
-# 2^31 - 1, 2^61 - 1 and the least prime above 2^64: a product of two
-# residues, and so a lane of a row being reduced, outgrows 64 bits
+# 2^31 - 1, 2^61 - 1 and the least prime above 2^64: a lane of a row of 6
+# being reduced, a residue plus 6 products of two residues, outgrows the
+# one 64-bit word a lane has, so these fields are refused
 LARGE_PRIMES = [2**31 - 1, 2**61 - 1, 18446744073709551629]
+
+
+def limit_prime(size: int) -> int:
+    """The largest prime whose lanes hold a row of `size` coordinates:
+    size * q^2 has at most 63 bits."""
+    q = math.isqrt((2**63 - 1) // size)
+    while not is_prime(q):
+        q -= 1
+    return q
+
+
+# the largest field whose lanes hold every row of at most 6 coordinates
+LIMIT_6 = limit_prime(6)
 
 prime_and_triple = st.sampled_from(PRIMES).flatmap(
     lambda q: st.tuples(st.just(q), st.integers(0, q - 1),
@@ -56,7 +72,7 @@ def field_bounds():
     plans = [(spec, make_plan(spec)) for spec in specs]
     return ([code_field(spec.n, spec.k, int(spec.M * plan.scale), plan.n_nc)[0]
              for spec, plan in plans]
-            + [simulate_stages(sim, 1, seed=0)[0]["d0"]])
+            + [simulate_stages(sim, 1, seed=0)[0][0]["d0"]])
 
 
 class TestMillerRabin:
@@ -110,15 +126,12 @@ class TestFieldAxioms:
 
 
 def rank(m, q):
-    rows, words = pack_rows(m, q)
-    return mat_rank(rows, q, words)
+    return mat_rank(pack_rows(m, q), q)
 
 
-def lanes(v, words, width, q):
-    """The coordinates mod q of a packed vector: lane j is the j-th
-    64 * words bits."""
-    bits = 64 * words
-    return [(v >> j * bits & (1 << bits) - 1) % q for j in range(width)]
+def lanes(v, width, q):
+    """The coordinates mod q of a packed vector: lane j is the j-th 64 bits."""
+    return [(v >> 64 * j & (1 << 64) - 1) % q for j in range(width)]
 
 
 class TestMatrices:
@@ -141,34 +154,55 @@ class TestMatrices:
 
     def test_lane_width_holds_a_reduced_row(self):
         """A lane holds a residue plus one product of two residues per
-        coordinate: 6 * q^2 needs 65 bits at 2^31 - 1, 125 at 2^61 - 1
-        and 131 past 2^64, so the lanes are 2, 2 and 3 words wide."""
+        coordinate, in one 64-bit word: 6 * q^2 needs 65 bits at 2^31 - 1,
+        125 at 2^61 - 1 and 131 past 2^64, so rows of 6 are refused there,
+        and rows of 40 over GF(15121) pack."""
         assert all(is_prime(q) for q in LARGE_PRIMES)
         assert 18446744073709551629 - 2**64 == 13
         assert not any(is_prime(x) for x in range(2**64, 2**64 + 13))
-        assert [pack_rows([[0] * 6], q)[1] for q in LARGE_PRIMES] == [2, 2, 3]
-        assert pack_rows([[0] * 40], 15121)[1] == 1
+        assert [(6 * q * q).bit_length() for q in LARGE_PRIMES] == [65, 125, 131]
+        for q in LARGE_PRIMES:
+            with pytest.raises(ValueError, match="does not fit one 64-bit lane"):
+                pack_rows([[0] * 6], q)
+        assert pack_rows([[0] * 40], 15121) == [0]
+
+    def test_lane_guard_boundary(self):
+        """The guard admits a terms * q^2 of 63 bits and refuses one of 64,
+        with terms the row length: at LIMIT_6, 6 coordinates pack and 7 do
+        not, and 2^31 - 1 is the largest prime for rows of 2."""
+        q = LIMIT_6
+        assert (6 * q * q).bit_length() == 63 and (7 * q * q).bit_length() == 64
+        assert pack_rows([[q - 1] * 6], q) == [sum((q - 1) << 64 * j for j in range(6))]
+        with pytest.raises(ValueError, match="does not fit one 64-bit lane"):
+            pack_rows([[q - 1] * 7], q)
+        assert limit_prime(2) == 2**31 - 1
+        assert len(pack_rows([[1, 2]], 2**31 - 1)) == 1
+        with pytest.raises(ValueError, match="does not fit one 64-bit lane"):
+            pack_rows([[1, 2, 3]], 2**31 - 1)
+        assert pack_rows([], 2**61 - 1) == []
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(LARGE_PRIMES), st.integers(1, 6), st.data())
-    def test_large_prime_det_vs_rank_and_echelon(self, q, n, data):
-        """Square matrices over a large field, with entries near q and a
-        row often a combination of the others, so that most have full rank
-        and many do not; the rank agrees with the Leibniz determinant and
-        the echelon basis is 1 at each pivot, 0 left of it."""
+    @given(st.integers(1, 6), st.data())
+    def test_large_prime_det_vs_rank_and_echelon(self, n, data):
+        """Square matrices over the largest field whose lanes hold their
+        rows, with entries near q and a row often a combination of the
+        others, so that most have full rank and many do not; the rank
+        agrees with the Leibniz determinant and the echelon basis is 1 at
+        each pivot, 0 left of it."""
+        q = limit_prime(n)
         entry = st.one_of(st.integers(0, q - 1), st.integers(q - 3, q - 1), st.integers(0, 2))
         m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
         if n > 1 and data.draw(st.booleans()):
             coeffs = data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
             m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) % q for j in range(n)]
-        rows, words = pack_rows(m, q)
-        basis = echelon(rows, q, words)
+        rows = pack_rows(m, q)
+        basis = echelon(rows, q)
         full = leibniz_det(m, q) != 0
         assert (len(basis) == n) == full
-        assert mat_rank(rows, q, words) == len(basis)
+        assert mat_rank(rows, q) == len(basis)
         assert [p for p, _ in basis] == sorted({p for p, _ in basis})
         for p, row in basis:
-            assert lanes(row, words, n, q)[:p + 1] == [0] * p + [1]
+            assert lanes(row, n, q)[:p + 1] == [0] * p + [1]
         if full:
             assert [p for p, _ in basis] == list(range(n))
 
@@ -178,48 +212,55 @@ class TestMatrices:
     def test_lanes_at_their_limit(self, q, n):
         """Rows e_i + (q - 1) e_(n-1) for i < n - 1, then (1, ..., 1, c):
         reducing the last row adds (q - 1)^2 to its last lane n - 1 times,
-        the most a lane of a row this long can take. The last row is in
-        the span of the others exactly when c = -(n - 1) mod q."""
-        m = [[int(j == i) for j in range(n - 1)] + [q - 1] for i in range(n - 1)]
-        for c, expected in ((q - (n - 1), n - 1), (0, n), (q - 1, n)):
-            rows, words = pack_rows(m + [[1] * (n - 1) + [c]], q)
-            assert mat_rank(rows, q, words) == expected
+        the most a lane of a row this long can take. Over GF(q) such rows
+        are refused; over the largest field below q whose lanes hold rows
+        of n they reach that limit, and the last row is in the span of the
+        others exactly when c = -(n - 1) mod q."""
+        def rows(q):
+            m = [[int(j == i) for j in range(n - 1)] + [q - 1] for i in range(n - 1)]
+            return [m + [[1] * (n - 1) + [c]] for c in (q - (n - 1), 0, q - 1)]
+
+        with pytest.raises(ValueError, match="does not fit one 64-bit lane"):
+            pack_rows(rows(q)[0], q)
+        limit = limit_prime(n)
+        assert limit < q
+        assert [mat_rank(pack_rows(m, limit), limit) for m in rows(limit)] == [n - 1, n, n]
 
 
 class TestResiduals:
     def test_worked_example(self):
         # modulo the span of (1, 2, 0) and (0, 0, 1) over GF(5), (a, b, c)
         # keeps b - 2a in lane 1, and the pivot lanes 0 and 2 read 0
-        spanning, words = pack_rows([[1, 2, 0], [0, 0, 1]], 5)
-        vectors, _ = pack_rows([[1, 2, 3], [0, 1, 4], [3, 0, 0]], 5)
-        basis = echelon(spanning, 5, words)
+        spanning = pack_rows([[1, 2, 0], [0, 0, 1]], 5)
+        vectors = pack_rows([[1, 2, 3], [0, 1, 4], [3, 0, 0]], 5)
+        basis = echelon(spanning, 5)
         assert [p for p, _ in basis] == [0, 2]
-        assert [lanes(v, words, 3, 5) for v in residuals(basis, vectors, 5, words)] == \
+        assert [lanes(v, 3, 5) for v in residuals(basis, vectors, 5)] == \
             [[0, 0, 0], [0, 1, 0], [0, 4, 0]]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([2, 3, 5, 7] + LARGE_PRIMES), st.integers(1, 6), st.data())
+    @given(st.sampled_from([2, 3, 5, 7, LIMIT_6]), st.integers(1, 6), st.data())
     def test_span_reduces_to_zero_lanes(self, q, width, data):
         vector = st.lists(st.integers(0, q - 1), min_size=width, max_size=width)
         spanning = data.draw(st.lists(vector, max_size=width))
         coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=len(spanning),
                                     max_size=len(spanning)))
         inside = [sum(c * v[j] for c, v in zip(coeffs, spanning)) % q for j in range(width)]
-        rows, words = pack_rows(spanning + [inside], q)
-        basis = echelon(rows[:-1], q, words)
-        assert lanes(residuals(basis, rows[-1:], q, words)[0], words, width, q) == [0] * width
+        rows = pack_rows(spanning + [inside], q)
+        basis = echelon(rows[:-1], q)
+        assert lanes(residuals(basis, rows[-1:], q)[0], width, q) == [0] * width
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([2, 3, 5, 7] + LARGE_PRIMES), st.integers(1, 6), st.data())
+    @given(st.sampled_from([2, 3, 5, 7, LIMIT_6]), st.integers(1, 6), st.data())
     def test_residual_rank_is_rank_added(self, q, width, data):
         """The residuals have the rank the vectors add to the basis, and
         read 0 mod q in every pivot lane of the basis."""
         vector = st.lists(st.integers(0, q - 1), min_size=width, max_size=width)
         spanning = data.draw(st.lists(vector, max_size=width))
         vectors = data.draw(st.lists(vector, max_size=4))
-        rows, words = pack_rows(spanning + vectors, q)
-        basis = echelon(rows[:len(spanning)], q, words)
-        image = residuals(basis, rows[len(spanning):], q, words)
-        assert mat_rank(rows, q, words) - len(basis) == mat_rank(image, q, words)
+        rows = pack_rows(spanning + vectors, q)
+        basis = echelon(rows[:len(spanning)], q)
+        image = residuals(basis, rows[len(spanning):], q)
+        assert mat_rank(rows, q) - len(basis) == mat_rank(image, q)
         for v in image:
-            assert all(lanes(v, words, width, q)[p] == 0 for p, _ in basis)
+            assert all(lanes(v, width, q)[p] == 0 for p, _ in basis)
