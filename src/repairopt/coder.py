@@ -14,13 +14,16 @@ state they return, so their callers never check it again. verify_rcp walks
 the k-subsets depth first and shares the elimination of each common prefix
 among the subsets below it, carrying the later nodes' blocks as packed
 rows (one int per vector, one 64-bit lane per coordinate, see gfalg)
-reduced by the prefix's echelon basis; init_code checks all C(n, k)
-subsets, regenerate only the C(n-1, k-1) that contain the repaired node,
-the only ones a repair can break. regenerate sums each random
-combination in packed lanes and reduces it mod q once. A plan carries
-its edges, their link costs and its new node, so regenerate takes no
-network spec. Every field that code_field gives a code the budget admits
-fits one lane; gfalg refuses any that would not.
+reduced by the prefix's echelon basis, with the prefix's pivot lanes
+removed, so a vector loses alpha_s lanes at each level; init_code checks
+all C(n, k) subsets, regenerate only the C(n-1, k-1) that contain the
+repaired node, the only ones a repair can break. regenerate sums each
+random combination in packed lanes and reduces it mod q once.
+Coefficients are drawn by rejection from rng.getrandbits, the calls and
+values that rng.randrange(q) makes, so a seed gives the code it always
+has. A plan carries its edges, their link costs and its new node, so
+regenerate takes no network spec. Every field that code_field gives a
+code the budget admits fits one lane; gfalg refuses any that would not.
 
 Input the coder cannot use raises a ValueError (TopologyError, LPError
 or a plain one); RetryExhaustedError, the one error this module defines,
@@ -154,15 +157,16 @@ def verify_rcp(state: CodeState, through: int | None = None):
 
     The subsets are walked depth first in lexicographic order, on the
     columns packed once per call. Below each prefix the later nodes' blocks
-    are carried reduced by the prefix's echelon basis, so every lane of a
-    prefix pivot reads 0 mod q; adding a node then reduces the later blocks
-    against only that node's basis, whose pivots are new lanes, and the
-    rank a block keeps is the rank it adds to the prefix. At minimum
-    storage (M_s = k * alpha_s) a subset spans the file only if each node
-    adds alpha_s dimensions to the ones before it, so a prefix whose last
-    node adds fewer fails every subset below it, and its first completion
-    is the witness; a last node is one rank check of its alpha_s reduced
-    rows. A walk through a node puts that node first.
+    are carried reduced by the prefix's echelon basis with the prefix's
+    pivot lanes removed (gfalg.quotient), M_s - alpha_s * depth lanes;
+    adding a node then reduces the later blocks against only that node's
+    basis, and the rank a block keeps is the rank it adds to the prefix.
+    At minimum storage (M_s = k * alpha_s) a subset spans the file only if
+    each node adds alpha_s dimensions to the ones before it, so a prefix
+    whose last node adds fewer fails every subset below it, and its first
+    completion is the witness; a last node is one rank check of its
+    alpha_s rows of alpha_s lanes. A walk through a node puts that node
+    first.
     """
     q, k, alpha = state.q, state.k, state.alpha_s
     order = list(range(1, state.n + 1))
@@ -170,10 +174,10 @@ def verify_rcp(state: CodeState, through: int | None = None):
         order.remove(through)
         order.insert(0, through)
 
-    def walk(prefix, nodes, vectors, stop):
+    def walk(prefix, nodes, vectors, width, stop):
         """The first failing subset that extends prefix by nodes[i:] with
         i < stop; vectors holds the nodes' blocks, alpha packed rows each,
-        reduced by the span of the prefix."""
+        of `width` lanes: their quotient by the span of the prefix."""
         need = k - len(prefix)
         for i in range(stop):
             subset = prefix + (nodes[i],)
@@ -185,19 +189,35 @@ def verify_rcp(state: CodeState, through: int | None = None):
             basis = gfalg.echelon(block, q)
             if len(basis) < alpha:
                 return subset + tuple(nodes[i + 1:i + need])
-            rest = gfalg.residuals(basis, vectors[(i + 1) * alpha:], q)
-            found = walk(subset, nodes[i + 1:], rest, len(nodes) - i - need + 1)
+            rest = gfalg.quotient(basis, vectors[(i + 1) * alpha:], q, width)
+            found = walk(subset, nodes[i + 1:], rest, width - alpha,
+                         len(nodes) - i - need + 1)
             if found:
                 return found
         return None
 
     vectors = gfalg.pack_rows([v for node in order for v in state.columns[node - 1]], q)
-    witness = walk((), order, vectors, 1 if through is not None else len(order) - k + 1)
+    witness = walk((), order, vectors, state.M_s,
+                   1 if through is not None else len(order) - k + 1)
     return (True, None) if witness is None else (False, tuple(sorted(witness)))
 
 
+def _draws(rng: random.Random, q: int, count: int) -> list[int]:
+    """`count` uniform elements of GF(q). Each draws rng.getrandbits of
+    q's bit length until the value is below q: the calls that
+    rng.randrange(q) makes, so the values are its values."""
+    bits, getrandbits, out = q.bit_length(), rng.getrandbits, []
+    for _ in range(count):
+        x = getrandbits(bits)
+        while x >= q:
+            x = getrandbits(bits)
+        out.append(x)
+    return out
+
+
 def _random_columns(rng: random.Random, q: int, nrows: int, ncols: int):
-    return tuple(tuple(rng.randrange(q) for _ in range(nrows)) for _ in range(ncols))
+    flat = _draws(rng, q, nrows * ncols)
+    return tuple(tuple(flat[c * nrows:(c + 1) * nrows]) for c in range(ncols))
 
 
 def init_code(spec: NetworkSpec, q: int, *, rng: random.Random, scale: int = 1,
@@ -222,8 +242,7 @@ def _combine(rng: random.Random, pool, q: int, M_s: int) -> list[int]:
     each: the draws' multiples are summed in the lanes and reduced mod q
     once."""
     combo = 0
-    for vec in pool:
-        c = rng.randrange(q)
+    for c, vec in zip(_draws(rng, q, len(pool)), pool):
         if c:
             combo += c * vec
     return [x % q for x in gfalg._unpack(combo, M_s)]

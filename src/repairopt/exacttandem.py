@@ -41,6 +41,8 @@ class VandermondeCode:
 
 def init_vandermonde(n: int, k: int, q: int, *, seed) -> VandermondeCode:
     """Build the code with a random message drawn from the seed."""
+    if k < 1:
+        raise ExactRepairError(f"need k >= 1, got k={k}")
     if k > n:
         raise ExactRepairError("need k <= n")
     if not gfalg.is_prime(q):

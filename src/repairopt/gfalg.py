@@ -12,9 +12,15 @@ nonzero pivot in column order so ranks are reproducible.
 Rank needs only forward elimination. `echelon` gives the span of a set of
 vectors as an echelon basis, a list of (pivot, row) pairs in ascending
 pivot order, where row is the packed basis vector, 1 at its pivot and 0
-left of it. `residuals` reduces vectors by such a basis in ascending
-pivot order, which zeroes (mod q) the lanes of its pivots, so that the
-rank of a union of blocks can be taken one block at a time.
+left of it. `quotient` reduces vectors by such a basis in ascending
+pivot order, which zeroes (mod q) the lanes of its pivots, and removes
+those lanes, so that the rank of a union of blocks can be taken one block
+at a time on vectors that shrink by the rank of each block. Both take
+the lowest pivots fast: while the pivots are lanes 0, 1, ..., as they are
+for most blocks of a random code, each row's multiplier is read from the
+low word and the vector is shifted down one lane per pivot. Any other
+pivot set takes the general reduction, after which `quotient` unpacks
+the vector, drops the pivot lanes and repacks the rest mod q.
 """
 
 from __future__ import annotations
@@ -111,19 +117,59 @@ def _residual(basis, v: int, q: int) -> int:
     return v
 
 
-def residuals(basis, vectors, q: int) -> list[int]:
-    """Each packed vector reduced by an echelon basis: a vector in its
-    span gets all lanes 0 mod q, every basis pivot's lane is 0 mod q, and
-    the residuals have the rank that the vectors add to the basis."""
-    return [_residual(basis, v, q) for v in vectors]
+def _peel(lead, v: int, q: int) -> int:
+    """The packed vector reduced by basis rows whose pivots are lanes 0, 1,
+    ..., each row shifted down to its pivot: a row clears lane 0 mod q,
+    which is then shifted out, so the result is the residual shifted down
+    past those lanes."""
+    for row in lead:
+        f = (v & _WORD) % q
+        if f:
+            v += (q - f) * row
+        v >>= 64
+    return v
+
+
+def quotient(basis, vectors, q: int, width: int) -> list[int]:
+    """Each packed vector of `width` lanes reduced by an echelon basis,
+    with the basis's pivot lanes removed: width - len(basis) lanes, in
+    which a vector in the span reads 0 mod q, and whose rank is the rank
+    that the vectors add to the basis. Each basis row is applied to a
+    vector once, as in the reduction `echelon` makes."""
+    if not basis or basis[-1][0] == len(basis) - 1:
+        lead = [row >> 64 * p for p, row in basis]
+        return [_peel(lead, v, q) for v in vectors]
+    pivots = {p for p, _ in basis}
+    keep = [i for i in range(width) if i not in pivots]
+    out = []
+    for v in vectors:
+        lanes = _unpack(_residual(basis, v, q), width)
+        out.append(_pack([lanes[i] % q for i in keep]))
+    return out
 
 
 def echelon(vectors, q: int) -> list[tuple[int, int]]:
     """Echelon basis of the span of the packed vectors; its length is
-    their rank."""
+    their rank. While the pivots found are lanes 0, 1, ..., a vector is
+    reduced by peeling them off, and the next pivot is read from the low
+    word; after the first vector that has none there, by the general
+    reduction and a search of its lanes."""
     basis: list[tuple[int, int]] = []
+    lead: list[int] | None = []   # the basis rows, shifted down to their pivots
     for v in vectors:
-        v = _residual(basis, v, q)
+        if lead is not None:
+            v = _peel(lead, v, q)
+            x = (v & _WORD) % q
+            if x:
+                inv = pow(x, -1, q)
+                row = _pack([y * inv % q for y in _unpack(v, -(-v.bit_length() // 64))])
+                basis.append((len(lead), row << 64 * len(lead)))
+                lead.append(row)
+                continue
+            v <<= 64 * len(lead)
+            lead = None
+        else:
+            v = _residual(basis, v, q)
         lanes = _unpack(v, -(-v.bit_length() // 64))
         for p, x in enumerate(lanes):
             if x % q:
@@ -134,5 +180,11 @@ def echelon(vectors, q: int) -> list[tuple[int, int]]:
 
 
 def mat_rank(vectors, q: int) -> int:
-    """Rank of the packed vectors over GF(q)."""
-    return len(echelon(vectors, q))
+    """Rank of the packed vectors over GF(q). The last vector needs no
+    basis row: it adds one to the rank of the others when its residual
+    has a lane that is nonzero mod q."""
+    if not vectors:
+        return 0
+    basis = echelon(vectors[:-1], q)
+    v = _residual(basis, vectors[-1], q)
+    return len(basis) + any(x % q for x in _unpack(v, -(-v.bit_length() // 64)))

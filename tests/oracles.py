@@ -4,8 +4,10 @@ These deliberately share no code with the package: max-flow instead of
 cut enumeration, exhaustive path enumeration instead of the one-pass
 least-cost walk over a topological order, an
 exhaustive grid search instead of the simplex, the Leibniz formula
-instead of elimination, and a scan of every k-subset instead of the
-prefix-sharing walk of the any-k check.
+instead of elimination, and a scan of every k-subset, each a determinant
+by elimination on plain lists of residues (checked against the Leibniz
+formula), instead of the prefix-sharing walk of the any-k check on
+packed rows.
 
 Five of them are earlier versions of package code, kept as references
 for its faster replacements: the cut enumerator that walks every vertex
@@ -181,6 +183,27 @@ def leibniz_det(m, q):
     return total % q
 
 
+def elimination_det(m, q):
+    """Determinant over GF(q) by Gaussian elimination on a copy of the
+    rows, swapping in the first row with a nonzero entry in each column."""
+    rows = [[x % q for x in row] for row in m]
+    size, det = len(rows), 1
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col] % q
+        inv = pow(rows[col][col], -1, q)
+        for r in range(col + 1, size):
+            f = rows[r][col] * inv % q
+            if f:
+                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], rows[col])]
+    return det % q
+
+
 def reference_rcp(columns, n, k, M_s, q, through=None):
     """(ok, witness) of the any-k reconstruction check: the first k-subset
     of nodes in lexicographic order, among those holding `through` if it
@@ -192,7 +215,7 @@ def reference_rcp(columns, n, k, M_s, q, through=None):
         vectors = [v for node in subset for v in columns[node - 1]]
         if len(vectors) != M_s or any(len(v) != M_s for v in vectors):
             raise OracleError("subsets do not stack to square matrices")
-        if leibniz_det(vectors, q) == 0:
+        if elimination_det(vectors, q) == 0:
             return False, subset
     return True, None
 

@@ -289,6 +289,15 @@ class TestExactRepair:
                      "--k1", "4")
         assert result.exit_code == 2 and "need k1 + k2 = k = 3" in result.output
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_needs_a_helper(self, k):
+        """A repair from no helpers is refused, with the network commands'
+        wording, before any split is made."""
+        result = run("exact-repair", "--n", "10", "--k", k, "--q", "11", "-t", "5")
+        assert result.exit_code == 2
+        assert f"need k >= 1, got k={k}" in result.output
+        assert "k1 + k2" not in result.output
+
     def test_huge_prime_field(self):
         result = run("exact-repair", "--n", "5", "--k", "3", "--q", "1000000000000000003",
                      "-t", "3")

@@ -219,13 +219,14 @@ class TestVerifyRcp:
     @staticmethod
     @st.composite
     def small_states(draw):
-        """A code state, often near-singular: a node block repeated or a
-        vector zeroed, so subsets fail at a leaf, at a prefix and at the
-        root of a walk through a node. With k = 4 a reduced block is
-        carried through three levels; alpha is then 1, so the oracle's
-        Leibniz determinants stay at most 6 x 6. The field is small, or
-        the largest whose 64-bit lanes hold a row of 6 being reduced
-        (6 * q^2 has 63 bits), or 2^31 - 1, the largest for rows of 2."""
+        """A code state of one or two vectors a node, often near-singular:
+        a node block repeated or a vector zeroed, so subsets fail at a
+        leaf, at a prefix and at the root of a walk through a node. With
+        k = 4 a reduced block is carried through three levels, at one
+        vector a node; wide_states takes larger blocks. The field is
+        small, or the largest whose 64-bit lanes hold a row of 6 being
+        reduced (6 * q^2 has 63 bits), or 2^31 - 1, the largest for rows
+        of 2."""
         n = draw(st.integers(1, 7))
         k = draw(st.integers(1, min(4, n)))
         alpha = draw(st.integers(1, 2 if k < 4 else 1))
@@ -242,13 +243,85 @@ class TestVerifyRcp:
             nodes[dst][j] = (0,) * (k * alpha)
         return code_state(q, k, nodes), draw(st.integers(1, n))
 
-    @settings(max_examples=300, deadline=None)
-    @given(small_states())
-    def test_walk_equals_subset_scan(self, state_and_node):
-        state, t = state_and_node
+    @staticmethod
+    def walk_equals_scan(state, t):
         args = state.columns, state.n, state.k, state.M_s, state.q
         assert verify_rcp(state) == reference_rcp(*args)
         assert verify_rcp(state, t) == reference_rcp(*args, through=t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_states())
+    def test_walk_equals_subset_scan(self, state_and_node):
+        self.walk_equals_scan(*state_and_node)
+
+    @staticmethod
+    @st.composite
+    def wide_states(draw):
+        """A code state of 3 to 10 vectors a node and files of up to 40
+        subfragments, which the oracle's eliminations reach and its Leibniz
+        sums do not: a block repeated, vectors zeroed, or a low lane
+        zeroed in every vector of some nodes, so that block pivots below
+        a prefix skip the lowest lanes and the walk repacks. The field is
+        small, mid-sized, or the largest whose lanes hold a row of M_s."""
+        n = draw(st.integers(1, 7))
+        k = draw(st.integers(1, min(4, n)))
+        alpha = draw(st.integers(3, 10))
+        M_s = k * alpha
+        limit = math.isqrt((2**63 - 1) // M_s)
+        while not gfalg.is_prime(limit):
+            limit -= 1
+        q = draw(st.sampled_from([2, 3, 5, 1087, 15121, limit]))
+        rnd = draw(st.randoms(use_true_random=False))
+        nodes = [[[rnd.randrange(q) for _ in range(M_s)] for _ in range(alpha)]
+                 for _ in range(n)]
+        node, other = st.integers(0, n - 1), st.integers(0, n - 1)
+        for dst, src in draw(st.lists(st.tuples(node, other), max_size=2)):
+            nodes[dst] = [list(v) for v in nodes[src]]
+        for dst, j in draw(st.lists(st.tuples(node, st.integers(0, alpha - 1)), max_size=2)):
+            nodes[dst][j] = [0] * M_s
+        lane = draw(st.integers(0, 2))
+        for dst in draw(st.sets(node, max_size=n)):
+            for v in nodes[dst]:
+                v[lane] = 0
+        return code_state(q, k, nodes), draw(st.integers(1, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_states())
+    def test_wide_walk_equals_subset_scan(self, state_and_node):
+        self.walk_equals_scan(*state_and_node)
+
+    def test_pivots_past_lane_0_below_a_prefix(self, monkeypatch):
+        """Nodes 1 and 2 read 0 in coordinate 0 and node 4 repeats node 3:
+        node 1's pivots are lanes 1 and 2, and below it node 2's reduced
+        block, 4 lanes wide, still reads 0 in lane 0, so its pivots are
+        lanes 1 and 2 too and the walk repacks there. It returns the
+        scan's witness, (1, 3, 4)."""
+        nodes = [list(node) for node in self.HEALTHY]
+        for v in (0, 1):
+            nodes[v] = [(0,) + col[1:] for col in nodes[v]]
+        nodes[3] = nodes[2]
+        state = code_state(13, 3, nodes)
+        real, seen = gfalg.quotient, []
+        monkeypatch.setattr(gfalg, "quotient", lambda basis, vectors, q, width: (
+            seen.append((width, [p for p, _ in basis])) or real(basis, vectors, q, width)))
+        assert verify_rcp(state) == reference_rcp(state.columns, 6, 3, 6, 13) \
+            == (False, (1, 3, 4))
+        assert seen[:3] == [(6, [1, 2]), (4, [1, 2]), (4, [0, 1])]
+
+
+class TestDraws:
+    @pytest.mark.parametrize("q", [2, 3, 73, 1447, 2**31 - 1, 2**20 + 7])
+    def test_draws_are_randrange(self, q):
+        """The coder's coefficients are the values of rng.randrange(q), and
+        leave the generator where it leaves it, so every seeded code and
+        every golden output stays the same; 2 and 2^20 + 7 reject close to
+        half of their draws."""
+        for seed in (0, 1, 7, 2024):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert coder._draws(rng, q, 300) == [ref.randrange(q) for _ in range(300)]
+            assert coder._random_columns(rng, q, 4, 3) == tuple(
+                tuple(ref.randrange(q) for _ in range(4)) for _ in range(3))
+            assert rng.getstate() == ref.getstate()
 
 
 class TestInitCode:
@@ -265,7 +338,7 @@ class TestInitCode:
 
     def test_retry_exhaustion(self):
         class ZeroRandom(random.Random):
-            def randrange(self, *args):
+            def getrandbits(self, k):
                 return 0
 
         with pytest.raises(RetryExhaustedError):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import leibniz_det, trial_division_is_prime
+from oracles import elimination_det, leibniz_det, trial_division_is_prime
 
 from repairopt.coder import code_field, make_plan, simulate_stages
 from repairopt.fixtures import FIXTURES, fixture_spec
@@ -11,7 +11,7 @@ from repairopt.gfalg import (
     is_prime,
     mat_rank,
     pack_rows,
-    residuals,
+    quotient,
     smallest_prime_geq,
 )
 from repairopt.netmodel import build_topology, respec_failure
@@ -148,6 +148,19 @@ class TestMatrices:
         det = leibniz_det(m, q)
         assert (det != 0) == (rank(m, q) == n)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 1087, LIMIT_6]), st.integers(1, 6), st.data())
+    def test_elimination_oracle_equals_leibniz(self, q, n, data):
+        """The any-k oracle's determinant by elimination on plain lists
+        equals the Leibniz sum, on matrices whose last row is often a
+        combination of the others or whose entries are often 0."""
+        entry = st.integers(0, q - 1) | st.just(0)
+        m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        if n > 1 and data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+            m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) % q for j in range(n)]
+        assert elimination_det(m, q) == leibniz_det(m, q)
+
     def test_rank_of_wide_matrix(self):
         m = [[1, 0, 1], [0, 1, 1]]
         assert rank(m, 2) == 2
@@ -227,16 +240,50 @@ class TestMatrices:
         assert [mat_rank(pack_rows(m, limit), limit) for m in rows(limit)] == [n - 1, n, n]
 
 
+def residual(basis, v, width, q):
+    """The coordinates mod q of a packed vector reduced by each basis row
+    in pivot order, on plain lists."""
+    x = lanes(v, width, q)
+    for p, row in basis:
+        f = x[p]
+        x = [(a - f * b) % q for a, b in zip(x, lanes(row, width, q))]
+    return x
+
+
+def check_quotient(basis, vectors, q, width):
+    """Each quotient has width - len(basis) lanes, and they are, mod q, the
+    lanes of the plain-list residual that are not pivots of the basis."""
+    pivots = {p for p, _ in basis}
+    size = width - len(basis)
+    for v, image in zip(vectors, quotient(basis, vectors, q, width)):
+        assert image.bit_length() <= 64 * size
+        assert lanes(image, size, q) == [x for j, x in enumerate(residual(basis, v, width, q))
+                                         if j not in pivots]
+
+
 class TestResiduals:
+    """gfalg.quotient: vectors reduced by an echelon basis, its pivot lanes
+    removed."""
+
     def test_worked_example(self):
         # modulo the span of (1, 2, 0) and (0, 0, 1) over GF(5), (a, b, c)
-        # keeps b - 2a in lane 1, and the pivot lanes 0 and 2 read 0
+        # keeps b - 2a, the one lane left when the pivot lanes 0 and 2 go
         spanning = pack_rows([[1, 2, 0], [0, 0, 1]], 5)
         vectors = pack_rows([[1, 2, 3], [0, 1, 4], [3, 0, 0]], 5)
         basis = echelon(spanning, 5)
         assert [p for p, _ in basis] == [0, 2]
-        assert [lanes(v, 3, 5) for v in residuals(basis, vectors, 5)] == \
-            [[0, 0, 0], [0, 1, 0], [0, 4, 0]]
+        assert quotient(basis, vectors, 5, 3) == [0, 1, 4]
+        check_quotient(basis, vectors, 5, 3)
+
+    def test_leading_pivots_shift_out(self):
+        # pivots 0 and 1 over GF(7): (a, b, c) keeps c - 2a - 3b, read
+        # from what was lane 2, whose lanes need no reduction mod q
+        basis = echelon(pack_rows([[1, 0, 2], [0, 1, 3]], 7), 7)
+        assert [p for p, _ in basis] == [0, 1]
+        vectors = pack_rows([[1, 1, 5], [2, 0, 0], [6, 6, 6]], 7)
+        assert [v % 7 for v in quotient(basis, vectors, 7, 3)] == [0, 3, 4]
+        check_quotient(basis, vectors, 7, 3)
+        assert quotient([], vectors, 7, 3) == vectors
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7, LIMIT_6]), st.integers(1, 6), st.data())
@@ -248,19 +295,26 @@ class TestResiduals:
         inside = [sum(c * v[j] for c, v in zip(coeffs, spanning)) % q for j in range(width)]
         rows = pack_rows(spanning + [inside], q)
         basis = echelon(rows[:-1], q)
-        assert lanes(residuals(basis, rows[-1:], q)[0], width, q) == [0] * width
+        size = width - len(basis)
+        image = quotient(basis, rows[-1:], q, width)[0]
+        assert image.bit_length() <= 64 * size
+        assert lanes(image, size, q) == [0] * size
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7, LIMIT_6]), st.integers(1, 6), st.data())
     def test_residual_rank_is_rank_added(self, q, width, data):
-        """The residuals have the rank the vectors add to the basis, and
-        read 0 mod q in every pivot lane of the basis."""
+        """The quotients have the rank the vectors add to the basis, and
+        are the residuals without the basis's pivot lanes, whether the
+        pivots are the lowest lanes or, with a lane zeroed in every
+        spanning vector, are not."""
         vector = st.lists(st.integers(0, q - 1), min_size=width, max_size=width)
         spanning = data.draw(st.lists(vector, max_size=width))
+        zeroed = data.draw(st.integers(0, width - 1) | st.none())
+        if zeroed is not None:
+            spanning = [v[:zeroed] + [0] + v[zeroed + 1:] for v in spanning]
         vectors = data.draw(st.lists(vector, max_size=4))
         rows = pack_rows(spanning + vectors, q)
         basis = echelon(rows[:len(spanning)], q)
-        image = residuals(basis, rows[len(spanning):], q)
+        image = quotient(basis, rows[len(spanning):], q, width)
         assert mat_rank(rows, q) - len(basis) == mat_rank(image, q)
-        for v in image:
-            assert all(lanes(v, width, q)[p] == 0 for p, _ in basis)
+        check_quotient(basis, rows[len(spanning):], q, width)
