@@ -17,13 +17,12 @@ rows (one int per vector, one 64-bit lane per coordinate, see gfalg)
 reduced by the prefix's echelon basis, with the prefix's pivot lanes
 removed, so a vector loses alpha_s lanes at each level; init_code checks
 all C(n, k) subsets, regenerate only the C(n-1, k-1) that contain the
-repaired node, the only ones a repair can break. regenerate sums each
-random combination in packed lanes and reduces it mod q once.
-Coefficients are drawn by rejection from rng.getrandbits, the calls and
-values that rng.randrange(q) makes, so a seed gives the code it always
-has. A plan carries its edges, their link costs and its new node, so
-regenerate takes no network spec. Every field that code_field gives a
-code the budget admits fits one lane; gfalg refuses any that would not.
+repaired node, the only ones a repair can break. Coefficients are
+gfalg.draws, the values of rng.randrange(q), so a seed gives the code it
+always has, and regenerate sums each combination with gfalg.combine. A
+plan carries its edges, their link costs and its new node, so regenerate
+takes no network spec. Every field that code_field gives a code the
+budget admits fits one lane; gfalg refuses any that would not.
 
 Input the coder cannot use raises a ValueError (TopologyError, LPError
 or a plain one); RetryExhaustedError, the one error this module defines,
@@ -202,21 +201,8 @@ def verify_rcp(state: CodeState, through: int | None = None):
     return (True, None) if witness is None else (False, tuple(sorted(witness)))
 
 
-def _draws(rng: random.Random, q: int, count: int) -> list[int]:
-    """`count` uniform elements of GF(q). Each draws rng.getrandbits of
-    q's bit length until the value is below q: the calls that
-    rng.randrange(q) makes, so the values are its values."""
-    bits, getrandbits, out = q.bit_length(), rng.getrandbits, []
-    for _ in range(count):
-        x = getrandbits(bits)
-        while x >= q:
-            x = getrandbits(bits)
-        out.append(x)
-    return out
-
-
 def _random_columns(rng: random.Random, q: int, nrows: int, ncols: int):
-    flat = _draws(rng, q, nrows * ncols)
+    flat = gfalg.draws(rng, q, nrows * ncols)
     return tuple(tuple(flat[c * nrows:(c + 1) * nrows]) for c in range(ncols))
 
 
@@ -235,17 +221,6 @@ def init_code(spec: NetworkSpec, q: int, *, rng: random.Random, scale: int = 1,
         if ok:
             return state, attempt
     raise RetryExhaustedError(f"no valid initial code in {retries} attempts (q={q})")
-
-
-def _combine(rng: random.Random, pool, q: int, M_s: int) -> list[int]:
-    """A random GF(q) combination of the packed vectors in pool, one draw
-    each: the draws' multiples are summed in the lanes and reduced mod q
-    once."""
-    combo = 0
-    for c, vec in zip(_draws(rng, q, len(pool)), pool):
-        if c:
-            combo += c * vec
-    return [x % q for x in gfalg._unpack(combo, M_s)]
 
 
 def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
@@ -273,9 +248,10 @@ def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
             f"plan delivers {inflow} subfragments, new node stores {state.alpha_s}")
     edges = [e for e, _ in active]
     order = topological_order({v for e in edges for v in e}, edges)
-    # a pool holds a node's own vectors and at most every message of the plan
-    gfalg._check_lanes(q, state.alpha_s + sum(c for _, c in active))
-    stored = [[gfalg._pack(vec) for vec in node] for node in state.columns]
+    stored = [gfalg.pack_rows(node, q) for node in state.columns]
+
+    def combination(pool):
+        return gfalg.combine(gfalg.draws(rng, q, len(pool)), pool, q, M_s)
 
     for attempt in range(1, retries + 1):
         received: dict[int, list] = {}
@@ -286,12 +262,11 @@ def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
             for (i, j), count in active:
                 if i == node:
                     received.setdefault(j, []).extend(
-                        gfalg._pack(_combine(rng, pool, q, M_s))
-                        for _ in range(count))
+                        gfalg.pack_rows([combination(pool) for _ in range(count)], q))
         pool = received.get(plan.new_node, [])
         columns = list(state.columns)
         columns[plan.new_node - 1] = tuple(
-            tuple(_combine(rng, pool, q, M_s)) for _ in range(state.alpha_s))
+            tuple(combination(pool)) for _ in range(state.alpha_s))
         candidate = replace(state, columns=tuple(columns))
         ok, _ = verify_rcp(candidate, plan.new_node)
         if ok:

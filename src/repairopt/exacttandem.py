@@ -50,7 +50,7 @@ def init_vandermonde(n: int, k: int, q: int, *, seed) -> VandermondeCode:
     if q <= n:
         raise ExactRepairError(f"need q > n for {n} distinct nonzero points")
     rng = random.Random(seed)
-    return VandermondeCode(n=n, k=k, q=q, message=tuple(rng.randrange(q) for _ in range(k)))
+    return VandermondeCode(n=n, k=k, q=q, message=tuple(gfalg.draws(rng, q, k)))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ for most blocks of a random code, each row's multiplier is read from the
 low word and the vector is shifted down one lane per pivot. Any other
 pivot set takes the general reduction, after which `quotient` unpacks
 the vector, drops the pivot lanes and repacks the rest mod q.
+
+`draws` gives uniform elements of GF(q), the values of rng.randrange(q),
+and `combine` sums multiples of packed vectors in their lanes and reduces
+the sum mod q once: a random combination is the one, then the other.
 """
 
 from __future__ import annotations
@@ -105,6 +109,32 @@ def pack_rows(matrix, q: int) -> list[int]:
     GF(q)^size."""
     _check_lanes(q, max(map(len, matrix), default=0))
     return [_pack(row) for row in matrix]
+
+
+def draws(rng, q: int, count: int) -> list[int]:
+    """`count` uniform elements of GF(q) from the random.Random rng. Each
+    draws rng.getrandbits of q's bit length until the value is below q:
+    the calls that rng.randrange(q) makes, so the values are its values."""
+    bits, getrandbits, out = q.bit_length(), rng.getrandbits, []
+    for _ in range(count):
+        x = getrandbits(bits)
+        while x >= q:
+            x = getrandbits(bits)
+        out.append(x)
+    return out
+
+
+def combine(coefficients, vectors, q: int, width: int) -> list[int]:
+    """The `width` coordinates of sum(c * v) over GF(q), for packed vectors
+    of residues: the multiples are summed in the lanes and reduced mod q
+    once, so a field is refused unless one lane holds len(vectors)
+    products of two residues."""
+    _check_lanes(q, len(vectors))
+    total = 0
+    for c, v in zip(coefficients, vectors):
+        if c:
+            total += c * v
+    return [x % q for x in _unpack(total, width)]
 
 
 def _residual(basis, v: int, q: int) -> int:

@@ -19,6 +19,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 
 
 class TopologyError(ValueError):
@@ -92,8 +93,9 @@ class CostMatrix:
                 if c != 0:
                     raise TopologyError("diagonal entries must be 0")
                 continue
-            c = Fraction(c)
-            if c < 0:
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            if c.numerator < 0:
                 raise TopologyError(f"negative cost on edge ({i},{j})")
             clean[(i, j)] = c
         self.n = n
@@ -225,56 +227,45 @@ def baseline_cost(spec: NetworkSpec) -> Fraction:
 
 
 TOPOLOGIES = ("tandem", "star", "grid", "complete")
+_UNIT = Fraction(1)   # the cost of every generated link not overridden
 
 
-def _undirected_adjacency(kind: str, n: int, center: int | None,
-                          rows: int | None, cols: int | None) -> set[frozenset[int]]:
+def _links(kind: str, n: int, center: int | None,
+           rows: int | None, cols: int | None) -> list[tuple[int, int]]:
+    """The undirected links of a generated topology, as (low, high) pairs."""
     if center is not None and kind != "star":
         raise TopologyError(f"only a star topology takes a center, not {kind!r}")
     if (rows is not None or cols is not None) and kind != "grid":
         raise TopologyError(f"only a grid topology takes rows and cols, not {kind!r}")
-    links: set[frozenset[int]] = set()
     if kind == "tandem":
-        for i in range(1, n):
-            links.add(frozenset((i, i + 1)))
-    elif kind == "star":
+        return [(i, i + 1) for i in range(1, n)]
+    if kind == "star":
         if center is None or not (1 <= center <= n):
             raise TopologyError("star topology needs a valid center id")
-        for i in range(1, n + 1):
-            if i != center:
-                links.add(frozenset((i, center)))
-    elif kind == "grid":
+        return [(min(i, center), max(i, center)) for i in range(1, n + 1) if i != center]
+    if kind == "grid":
         if rows is None or cols is None or rows * cols != n:
             raise TopologyError("grid topology needs rows*cols == n")
-        for r in range(rows):
-            for c in range(cols):
-                v = r * cols + c + 1
-                if c + 1 < cols:
-                    links.add(frozenset((v, v + 1)))
-                if r + 1 < rows:
-                    links.add(frozenset((v, v + cols)))
-    elif kind == "complete":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                links.add(frozenset((i, j)))
-    else:
-        raise TopologyError(f"unknown topology kind {kind!r}")
-    return links
+        return ([(v, v + 1) for v in range(1, n + 1) if v % cols]
+                + [(v, v + cols) for v in range(1, n - cols + 1)])
+    if kind == "complete":
+        return list(combinations(range(1, n + 1), 2))
+    raise TopologyError(f"unknown topology kind {kind!r}")
 
 
-def _orient_toward(links: set[frozenset[int]], n: int, target: int) -> list[tuple[int, int]]:
-    """Orient each link toward the target by undirected BFS distance.
+def _orient_toward(links: list[tuple[int, int]], n: int, target: int) -> list[tuple[int, int]]:
+    """Orient each (low, high) link toward the target by undirected BFS
+    distance.
 
     Ties (equal distance) break low-id -> high-id, which keeps the digraph
     acyclic: cross-level edges strictly decrease the distance and same-level
     edges follow a fixed total order. Every generated topology is
     connected, so the BFS reaches both ends of every link.
     """
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for link in links:
-        a, b = tuple(link)
-        adj[a].add(b)
-        adj[b].add(a)
+    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for a, b in links:
+        adj[a].append(b)
+        adj[b].append(a)
     dist = {target: 0}
     queue = deque([target])
     while queue:
@@ -283,7 +274,7 @@ def _orient_toward(links: set[frozenset[int]], n: int, target: int) -> list[tupl
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    return sorted((b, a) if dist[b] > dist[a] else (a, b) for a, b in map(sorted, links))
+    return sorted((b, a) if dist[b] > dist[a] else (a, b) for a, b in links)
 
 
 def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = None,
@@ -315,11 +306,11 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
     helpers = tuple(helpers)
     d = len(helpers) if d is None else d
 
-    links = _undirected_adjacency(kind, n, center, rows, cols)
-    # the unit cost or the override as given: CostMatrix converts each once
+    # one unit Fraction for every link, or the override as given:
+    # CostMatrix converts only what is not a Fraction
     entries = {}
-    for (i, j) in _orient_toward(links, n, failed):
-        c = 1
+    for (i, j) in _orient_toward(_links(kind, n, center, rows, cols), n, failed):
+        c = _UNIT
         if overrides:
             c = overrides.get((i, j), overrides.get((j, i), c))
         entries[(i, j)] = c

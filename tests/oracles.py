@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately share no code with the package: max-flow instead of
-cut enumeration, exhaustive path enumeration instead of the one-pass
-least-cost walk over a topological order, an
-exhaustive grid search instead of the simplex, the Leibniz formula
+cut enumeration, one row per helper subset at the minimum-storage point
+instead of the partition walk, exhaustive path enumeration instead of
+the one-pass least-cost walk over a topological order, an exhaustive
+grid search instead of the simplex, the Leibniz formula
 instead of elimination, and a scan of every k-subset, each a determinant
 by elimination on plain lists of residues (checked against the Leibniz
 formula), instead of the prefix-sharing walk of the any-k check on
@@ -218,6 +219,34 @@ def reference_rcp(columns, n, k, M_s, q, through=None):
         if elimination_det(vectors, q) == 0:
             return False, subset
     return True, None
+
+
+def msr_cut_rows(spec):
+    """(links, rows) of the cut inequalities at the minimum-storage point,
+    M = k alpha, where every cut has one form: for each (k-1)-subset K of
+    helpers, the links entering K and the new node nu from outside carry
+    at least alpha. links are the links between helpers or from a helper
+    into nu whose ends both reach nu over such links, in lexicographic
+    order; rows holds one 0/1 row over them per K, in the order of
+    combinations(spec.helpers, k - 1), duplicates kept."""
+    nu, helpers = spec.failed, set(spec.helpers)
+    candidate = sorted((i, j) for (i, j) in spec.cost.edges()
+                       if i in helpers and (j in helpers or j == nu))
+    senders: dict = {}
+    for i, j in candidate:
+        senders.setdefault(j, []).append(i)
+    reach, stack = {nu}, [nu]
+    while stack:
+        for i in senders.get(stack.pop(), ()):
+            if i not in reach:
+                reach.add(i)
+                stack.append(i)
+    links = [(i, j) for (i, j) in candidate if i in reach and j in reach]
+    rows = []
+    for K in combinations(spec.helpers, spec.k - 1):
+        inside = set(K) | {nu}
+        rows.append(tuple(int(j in inside and i not in inside) for i, j in links))
+    return links, rows
 
 
 def reference_cuts(fg):

@@ -309,21 +309,6 @@ class TestVerifyRcp:
         assert seen[:3] == [(6, [1, 2]), (4, [1, 2]), (4, [0, 1])]
 
 
-class TestDraws:
-    @pytest.mark.parametrize("q", [2, 3, 73, 1447, 2**31 - 1, 2**20 + 7])
-    def test_draws_are_randrange(self, q):
-        """The coder's coefficients are the values of rng.randrange(q), and
-        leave the generator where it leaves it, so every seeded code and
-        every golden output stays the same; 2 and 2^20 + 7 reject close to
-        half of their draws."""
-        for seed in (0, 1, 7, 2024):
-            rng, ref = random.Random(seed), random.Random(seed)
-            assert coder._draws(rng, q, 300) == [ref.randrange(q) for _ in range(300)]
-            assert coder._random_columns(rng, q, 4, 3) == tuple(
-                tuple(ref.randrange(q) for _ in range(4)) for _ in range(3))
-            assert rng.getstate() == ref.getstate()
-
-
 class TestInitCode:
     def test_init_holds_rcp(self):
         state, attempts = init_code(fixture_spec("tandem-n4"), 73, rng=random.Random(7))

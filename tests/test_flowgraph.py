@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repairopt.flowgraph import (
     build_flow_graph,
@@ -13,11 +14,20 @@ from repairopt.flowgraph import (
 from repairopt.fixtures import FIXTURES, fixture_spec
 from repairopt.lpcore import solve_min_cost
 from repairopt.netmodel import CostMatrix, NetworkSpec, TopologyError, build_topology
-from oracles import max_flow_value
+from oracles import max_flow_value, msr_cut_rows
 
 
 def rows_as_set(cs):
     return {(row, b) for row, b in zip(cs.rows, cs.rhs)}
+
+
+def generated_shapes(n):
+    """(kind, shape) of the generated topologies on n nodes: the tandem,
+    the complete network, the stars centred on 1 and on n, and every
+    grid."""
+    return ([("tandem", {}), ("complete", {}), ("star", {"center": 1}),
+             ("star", {"center": n})]
+            + [("grid", {"rows": r, "cols": n // r}) for r in range(1, n + 1) if n % r == 0])
 
 
 class TestBuildFlowGraph:
@@ -108,6 +118,76 @@ class TestEnumeration:
         fg = build_flow_graph(spec)
         with pytest.raises(TopologyError, match="capped at n <= 12"):
             enumerate_cut_constraints(fg)
+
+
+class TestMsrOracle:
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_rows_equal_the_oracle(self, n):
+        """At M = k alpha the raw enumeration is, as a set, one row per
+        (k-1)-subset of helpers at rhs alpha (oracles.msr_cut_rows), over
+        the same retained links: every generated kind and failure
+        position, k in {2, n // 2, n - 2}, with the default d and d = k."""
+        alpha = Fraction(2)
+        for kind, shape in generated_shapes(n):
+            for failed in range(1, n + 1):
+                for k in sorted({2, n // 2, n - 2}):
+                    for d in (None, k):
+                        spec = build_topology(kind, n, k=k, d=d, M=k * alpha,
+                                              failed=failed, **shape)
+                        links, rows = msr_cut_rows(spec)
+                        try:
+                            fg = build_flow_graph(spec)
+                        except TopologyError:
+                            assert not any(j == failed for _, j in links)
+                            continue
+                        assert list(fg.edge_index) == links
+                        cs = enumerate_cut_constraints(fg, reduce=False)
+                        assert set(cs.rows) == set(rows) and len(cs.rows) == len(set(rows))
+                        assert set(cs.rhs) == {alpha}
+
+
+@st.composite
+def collector_networks(draw):
+    """(kind, n, shape, k, d, alpha) of a generated network on 4 to 8 nodes,
+    any star centre, with 2 <= k <= d < n - 1, so that some survivors are
+    not helpers, at the minimum-storage point (alpha = 2) or at alpha = 3;
+    M = 2k."""
+    n = draw(st.integers(4, 8))
+    kind, shape = draw(st.sampled_from(
+        [(kind, shape) for kind, shape in generated_shapes(n) if kind != "star"]
+        + [("star", {"center": c}) for c in range(1, n + 1)]))
+    k = draw(st.integers(2, n - 2))
+    return kind, n, shape, k, draw(st.integers(k, n - 2)), draw(st.sampled_from((2, 3)))
+
+
+class TestNonHelperCollectors:
+    @settings(max_examples=60, deadline=None)
+    @given(collector_networks())
+    def test_every_survivor_subset_decodes(self, network):
+        """The enumerator lists cuts only for data collectors that read
+        k - 1 helpers, yet at an optimal repair every k - 1 survivors,
+        helpers or not, with the new node carry the file (max flow >= M),
+        at every failure position with a repair."""
+        kind, n, shape, k, d, alpha = network
+        for failed in range(1, n + 1):
+            spec = build_topology(kind, n, k=k, d=d, M=2 * k, alpha=alpha,
+                                  failed=failed, **shape)
+            try:
+                cs, costs = repair_cuts(spec)
+            except TopologyError:
+                continue
+            sol = solve_min_cost(cs, costs)
+            if sol.status != "optimal":
+                # no repair exists, as at d = k with a helper that reaches
+                # the new node only through a survivor that does not help
+                # (grid 2x3, k = d = 4, failed 6): even links of capacity
+                # M leave some k - 1 helpers short of the file
+                unbounded = [spec.M] * len(cs.edge_index)
+                assert any(max_flow_value(spec, unbounded, K) < spec.M
+                           for K in combinations(spec.helpers, k - 1)), failed
+                continue
+            for T in combinations(spec.survivors, k - 1):
+                assert max_flow_value(spec, sol.z_star, T) >= spec.M, (failed, T)
 
 
 class TestCheckFeasible:

@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import elimination_det, leibniz_det, trial_division_is_prime
 
-from repairopt.coder import code_field, make_plan, simulate_stages
+from repairopt.coder import _random_columns, code_field, make_plan, simulate_stages
 from repairopt.fixtures import FIXTURES, fixture_spec
 from repairopt.gfalg import (
+    combine,
+    draws,
     echelon,
     is_prime,
     mat_rank,
@@ -238,6 +241,40 @@ class TestMatrices:
         limit = limit_prime(n)
         assert limit < q
         assert [mat_rank(pack_rows(m, limit), limit) for m in rows(limit)] == [n - 1, n, n]
+
+
+class TestDraws:
+    @pytest.mark.parametrize("q", [2, 3, 73, 1447, 2**31 - 1, 2**20 + 7])
+    def test_draws_are_randrange(self, q):
+        """The coder's coefficients and exact repair's message are the
+        values of rng.randrange(q), and leave the generator where it leaves
+        it, so every seeded code and every golden output stays the same; 2
+        and 2^20 + 7 reject close to half of their draws."""
+        for seed in (0, 1, 7, 2024):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert draws(rng, q, 300) == [ref.randrange(q) for _ in range(300)]
+            assert _random_columns(rng, q, 4, 3) == tuple(
+                tuple(ref.randrange(q) for _ in range(4)) for _ in range(3))
+            assert rng.getstate() == ref.getstate()
+
+
+class TestCombine:
+    def test_lane_guard_boundary(self):
+        """combine admits len(vectors) * q^2 of 63 bits and refuses 64: at
+        LIMIT_6, 6 vectors of q - 1 times q - 1, the most a lane can take,
+        sum to the plain-list sum mod q, and 7 are refused."""
+        q, width = LIMIT_6, 3
+        rng = random.Random(5)
+        matrix = [[q - 1] * width] + [draws(rng, q, width) for _ in range(5)]
+        coefficients = [q - 1] + draws(rng, q, 5)
+        plain = [sum(c * row[j] for c, row in zip(coefficients, matrix)) % q
+                 for j in range(width)]
+        assert combine(coefficients, pack_rows(matrix, q), q, width) == plain
+        assert combine([q - 1] * 6, pack_rows([[q - 1] * width] * 6, q), q, width) \
+            == [6] * width
+        with pytest.raises(ValueError, match="does not fit one 64-bit lane"):
+            combine([1] * 7, pack_rows([[1] * width] * 7, q), q, width)
+        assert combine([], [], q, width) == [0] * width
 
 
 def residual(basis, v, width, q):

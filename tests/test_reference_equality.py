@@ -5,6 +5,7 @@ order, equal verdicts on every point, and equal LP solutions, pivots and
 duals included."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -18,7 +19,7 @@ from repairopt.flowgraph import (
     enumerate_cut_constraints,
 )
 from repairopt.lpcore import LPError, LPSolution, solve_min_cost
-from repairopt.netmodel import TopologyError, build_topology
+from repairopt.netmodel import TopologyError, build_topology, format_rational, spec_from_json
 from oracles import reference_cuts, reference_dual_simplex, reference_feasible, reference_reduce
 
 
@@ -117,6 +118,54 @@ def small_specs(draw):
 @example(build_topology("star", 7, k=3, M="13/2", alpha="3/2", center=1, failed=7))
 @example(build_topology("complete", 7, k=3, d=4, M=6, alpha=2, failed=7))
 def test_small_specs(spec):
+    try:
+        build_flow_graph(spec)
+    except TopologyError:
+        assume(False)
+    assert_matches_reference(spec)
+
+
+@st.composite
+def custom_documents(draw):
+    """`--spec` documents no generator writes: an acyclic digraph on n <= 7
+    nodes in any orientation (each pair linked or not, along a drawn
+    order), link costs 0 to 4 in halves, any helpers among the survivors
+    that reach the failed node, at the minimum-storage point or off it."""
+    n = draw(st.integers(3, 7))
+    order = draw(st.permutations(range(1, n + 1)))
+    cost = [["0" if i == j else "inf" for j in range(1, n + 1)] for i in range(1, n + 1)]
+    links = []
+    for a, b in combinations(order, 2):
+        if draw(st.booleans()):
+            links.append((a, b))
+            cost[a - 1][b - 1] = format_rational(Fraction(draw(st.integers(0, 8)), 2))
+    # a failed node that no link enters has no helper
+    receivers = sorted({j for _, j in links})
+    assume(receivers)
+    failed = draw(st.sampled_from(receivers))
+    reach = {failed}
+    for v in reversed(order):
+        if any(i == v and j in reach for i, j in links):
+            reach.add(v)
+    helpers = draw(st.lists(st.sampled_from(sorted(reach - {failed})), min_size=1,
+                            max_size=len(reach) - 1, unique=True))
+    k = draw(st.integers(1, len(helpers)))
+    alpha = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 2)))
+    M = k * alpha if draw(st.booleans()) else Fraction(draw(st.integers(1, 12)),
+                                                      draw(st.integers(1, 3)))
+    return {"n": n, "k": k, "d": len(helpers), "alpha": format_rational(alpha),
+            "M": format_rational(M), "failed": failed, "helpers": helpers, "cost": cost}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(custom_documents())
+# a zero-cost link into the failed node and a helper that relays for another
+@example({"n": 4, "k": 2, "d": 3, "alpha": "2", "M": "4", "failed": 4, "helpers": [3, 1, 2],
+          "cost": [["0", "1/2", "inf", "3"], ["inf", "0", "inf", "0"],
+                   ["inf", "inf", "0", "2"], ["inf", "inf", "inf", "0"]]})
+def test_custom_specs(doc):
+    spec = spec_from_json(doc)
+    assert spec.kind == "custom"
     try:
         build_flow_graph(spec)
     except TopologyError:

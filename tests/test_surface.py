@@ -1,8 +1,9 @@
 """The package's surface holds nothing without a caller: no unused import,
 no re-export from the package root, no import inside a function (where it
 would hide an import cycle), and no defaulted parameter that only tests
-set; and every function a benchmark metric names exists. Read with the
-stdlib ast and json modules; nothing is imported."""
+set; every function a benchmark metric names exists; and no module uses
+another's private names. Read with the stdlib ast and json modules;
+nothing is imported."""
 
 import ast
 import json
@@ -85,3 +86,25 @@ def test_per_layer_metrics_name_public_functions():
              (name.rpartition(".") for name in metrics)
              if stat in ("calls", "self_s") and base.count(".") == 1}
     assert named - public == exceptions
+
+
+def test_no_private_name_crosses_a_module():
+    """No package module imports another's `_name` or reads `module._name`.
+    flowgraph._integer_scale, which lpcore imports, is the one exception:
+    it stays private so that the tracer, which wraps each module's public
+    functions, does not time it as a call of its own."""
+    exceptions = {"lpcore.py: flowgraph._integer_scale"}
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    crossing = []
+    for path, module in PACKAGE.items():
+        modules = set()   # the names this module binds to package modules
+        for node in ast.walk(module):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:
+                    modules |= {alias.asname or alias.name for alias in node.names}
+                crossing += [f"{path.name}: {node.module}.{alias.name}"
+                             for alias in node.names if private(alias.name)]
+        crossing += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(module)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in modules and private(node.attr)]
+    assert set(crossing) == exceptions
