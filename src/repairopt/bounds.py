@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flowgraph import repair_cuts
-from .lpcore import LPError, solve_min_cost
+from .coder import make_plan
 from .netmodel import NetworkSpec, baseline_cost
 
 
@@ -81,19 +80,16 @@ def paper_gain_for(spec: NetworkSpec) -> Fraction | None:
 
 
 def compare_lp_to_bounds(spec: NetworkSpec) -> GainReport:
-    """Solve the LP and report baseline, optimum, gain, the closed form and
+    """Report baseline, the optimum of make_plan, gain, the closed form and
     the published gain."""
-    spec.require_msr()
-    sol = solve_min_cost(*repair_cuts(spec))
-    if sol.status != "optimal":
-        raise LPError(f"LP did not solve: {sol.status}")
+    opt = make_plan(spec).lp_value
     base = baseline_cost(spec)
-    if sol.value < 0 or sol.value > base:
+    if opt < 0 or opt > base:
         raise RuntimeError("LP value violates the baseline sandwich")
     return GainReport(
         sigma_non_opt=base,
-        sigma_opt=sol.value,
-        g_c=base / sol.value if sol.value else Fraction(0),
+        sigma_opt=opt,
+        g_c=base / opt if opt else Fraction(0),
         closed_form_value=closed_form_for(spec),
         paper_gain=paper_gain_for(spec),
     )

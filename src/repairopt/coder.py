@@ -120,7 +120,7 @@ def make_plan(spec: NetworkSpec) -> RepairPlan:
         raise LPError(f"LP did not solve: {sol.status}")
     denoms = [v.denominator for v in sol.z_star]
     denoms += [spec.alpha.denominator, spec.M.denominator]
-    scale = math.lcm(*denoms) if denoms else 1
+    scale = math.lcm(*denoms)
     counts = tuple(int(v * scale) for v in sol.z_star)
     return RepairPlan(edges=cs.edge_index, costs=tuple(costs), counts=counts, scale=scale,
                       new_node=spec.failed, lp_value=sol.value,
@@ -304,25 +304,24 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
     returns (one report per stage, the reason each skipped position was
     skipped).
 
-    Plans for every repairable node are computed up front; a position
-    whose plan raises TopologyError is skipped, and never fails. A single
-    subfragment scale (the lcm over those plans) and a single field,
-    chosen from the conservative bound n_nc <= n, keep one code state
-    alive across all stages even when some optima are fractional.
+    Every position is planned up front; one that make_plan refuses is
+    skipped, and if it refuses all, its refusal at the spec's own failure
+    is raised, as `code` raises it. One subfragment scale (the lcm over the
+    plans) and one field, chosen from the conservative bound n_nc <= n, keep
+    one code state alive across all stages even when some optima are fractional.
     """
     if T < 1:
         raise ValueError("need at least one stage")
-    spec.require_msr()  # before the loop, which skips a position that raises TopologyError
     rng = random.Random(seed)
     plans: dict[int, RepairPlan] = {}
-    skipped: dict[int, str] = {}
+    refused: dict[int, ValueError] = {}
     for node in range(1, spec.n + 1):
         try:
             plans[node] = make_plan(respec_failure(spec, node))
-        except TopologyError as exc:
-            skipped[node] = str(exc)
+        except (TopologyError, LPError) as exc:
+            refused[node] = exc
     if not plans:
-        raise TopologyError("no node of this network is repairable")
+        raise refused[spec.failed]
     # every plan's scale is a multiple of M.denominator, so M * scale is integral
     scale = math.lcm(*(plan.scale for plan in plans.values()))
     d0, q = code_field(spec.n, spec.k, int(spec.M * scale), spec.n)
@@ -348,4 +347,4 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
             "repair_attempts": attempts,
             "seed": seed,
         })
-    return reports, skipped
+    return reports, {node: str(exc) for node, exc in refused.items()}

@@ -347,15 +347,16 @@ def _kind_matches(spec: NetworkSpec) -> bool:
 
 
 def respec_failure(spec: NetworkSpec, failed: int) -> NetworkSpec:
-    """Rebuild the same topology for a failure at a different position.
+    """Rebuild the same topology for a failure at a different position;
+    at its own failure a spec is itself, helpers and all.
 
     Link costs carry over by endpoint pair, so non-unit links keep their
     cost when the orientation flips toward the new failure.
     """
-    if spec.kind == "custom":
-        if failed != spec.failed:
-            raise TopologyError("cannot re-derive a custom topology for a new failure")
+    if failed == spec.failed:
         return spec
+    if spec.kind == "custom":
+        raise TopologyError("cannot re-derive a custom topology for a new failure")
     return _rebuild(spec, failed=failed, d=spec.d)
 
 

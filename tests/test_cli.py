@@ -261,6 +261,36 @@ class TestCodeAndSimulate:
         reason = "cannot re-derive a custom topology for a new failure"
         assert doc["skipped"] == {"1": reason, "2": reason, "3": reason}
 
+    def test_simulate_skips_a_position_without_an_lp_optimum(self):
+        """On grid 2x3 at k = d = 4, node 6's LP is infeasible: code repairs
+        nodes 1-5, and simulate draws its stages from them."""
+        flags = ("--topology", "grid", "--n", "6", "--rows", "2", "--cols", "3", "--k", "4",
+                 "--d", "4", "--M", "8", "--alpha", "2", "--failed", "1")
+        result = run("simulate", *flags, "--stages", "4", "--seed", "1")
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert list(doc) == ["seed", "stages", "skipped"]
+        assert 6 not in {s["failed"] for s in doc["stages"]}
+        assert doc["skipped"] == {"6": "LP did not solve: infeasible"}
+
+    def test_simulate_plans_own_failure_with_the_documents_helpers(self, tmp_path):
+        """A tandem document whose helpers were edited to 3 and 4 still reads
+        as a tandem; its own failure, node 5, is planned from those helpers
+        and only node 4, which the default helpers cannot reach, is skipped."""
+        doc = json.loads(run("topology", "gen", "--topology", "tandem", "--n", "5", "--k", "2",
+                             "--M", "4", "--d", "2", "--failed", "5").output)
+        doc["helpers"] = [3, 4]
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(doc))
+        spec = ("--spec", str(path))
+        code = run("code", *spec)
+        assert code.exit_code == 0 and json.loads(code.output)["lp_value"] == "4"
+        result = run("simulate", *spec, "--stages", "6", "--seed", "1")
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["skipped"] == {"4": "no helper can reach the new node"}
+        assert 5 in {s["failed"] for s in doc["stages"]}
+
 
 class TestExactRepair:
     def test_transcript(self):
@@ -394,7 +424,7 @@ class TestCleanErrors:
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
         assert f"Error: {message}" in result.output
 
-    @pytest.mark.parametrize("command", ["constraints", "solve", "code"])
+    @pytest.mark.parametrize("command", ["constraints", "solve", "bounds", "code", "simulate"])
     def test_enumeration_cap(self, command):
         self.usage_error(run(command, *self.BIG), "cut enumeration is exponential")
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import reference_rcp
 
 from repairopt import coder, gfalg
+from repairopt.bounds import compare_lp_to_bounds
 from repairopt.cli import main
 from repairopt.coder import (
     CodeState,
@@ -388,6 +389,60 @@ class TestPipeline:
         assert report["rcp_ok"]
         assert report["scale"] == 3
         assert report["achieved_cost"] == Fraction(14, 3)
+
+
+def planner_networks(n):
+    """Every generated network on n nodes: each kind, star centres 1 and n,
+    every grid shape, k in {2, n - 2}, d in {n - 1, k}, at alpha 2, M 2k."""
+    shapes = [("tandem", {}), ("complete", {}), ("star", {"center": 1}),
+              ("star", {"center": n})]
+    shapes += [("grid", {"rows": r, "cols": n // r}) for r in range(1, n + 1) if n % r == 0]
+    for kind, shape in shapes:
+        for k in sorted({2, n - 2}):
+            for d in sorted({n - 1, k}):
+                yield kind, dict(shape, k=k, d=d, M=2 * k, alpha=2)
+
+
+def planned(fn, spec):
+    """fn(spec), or the type and message of the refusal it raises."""
+    try:
+        return fn(spec)
+    except (TopologyError, LPError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_plans_agree(kind, n, options):
+    """bounds reads make_plan's optimum or gives its refusal; simulate skips
+    exactly the positions make_plan refuses, and with none left gives the
+    refusal at the spec's own failure, as code does. Returns the refused
+    positions."""
+    specs = {f: build_topology(kind, n, failed=f, **options) for f in range(1, n + 1)}
+    plans = {f: planned(lambda s: make_plan(s).lp_value, spec) for f, spec in specs.items()}
+    for f, spec in specs.items():
+        assert planned(lambda s: compare_lp_to_bounds(s).sigma_opt, spec) == plans[f]
+    refused = {f: plan for f, plan in plans.items() if isinstance(plan, tuple)}
+    if len(refused) == n:
+        error, message = refused[n]
+        with pytest.raises(error) as info:
+            simulate_stages(specs[n], 1, seed=0)
+        assert str(info.value) == message
+    else:
+        _, skipped = simulate_stages(specs[n], 1, seed=0)
+        assert skipped == {f: message for f, (_, message) in refused.items()}, (kind, options)
+    return refused
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_bounds_and_simulate_plan_as_make_plan_does(n):
+    for kind, options in planner_networks(n):
+        assert_plans_agree(kind, n, options)
+
+
+@pytest.mark.parametrize("n, options", [(4, {"alpha": 1}), (13, {"alpha": 2})])
+def test_simulate_refused_everywhere_gives_codes_error(n, options):
+    """Off the minimum-storage point, or past the enumerator's cap, every
+    position is refused."""
+    assert len(assert_plans_agree("tandem", n, dict(options, k=2, M=4))) == n
 
 
 class TestSimulation:

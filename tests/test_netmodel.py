@@ -288,6 +288,15 @@ class TestRespecAndJson:
         assert moved.cost.cost(5, 2) == 3
         assert moved.cost.cost(1, 2) == 1
 
+    @pytest.mark.parametrize("kind, shape", [
+        ("tandem", {}), ("star", {"center": 2}), ("grid", {"rows": 2, "cols": 3}),
+        ("complete", {})])
+    def test_respec_at_own_failure_is_the_spec(self, kind, shape):
+        """At its own failure a spec keeps its helpers, even ones the
+        generator would not choose."""
+        spec = build_topology(kind, 6, k=2, M=4, alpha=2, failed=3, helpers=(5, 6), **shape)
+        assert respec_failure(spec, spec.failed) is spec
+
     def test_respec_custom_only_in_place(self):
         cm = CostMatrix(3, {(1, 3): Fraction(1), (2, 3): Fraction(1)})
         spec = NetworkSpec(n=3, k=2, d=2, alpha=Fraction(1), M=Fraction(2),
