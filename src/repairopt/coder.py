@@ -15,7 +15,7 @@ the k-subsets depth first and shares the elimination of each common prefix
 among the subsets below it, carrying the later nodes' blocks as packed
 rows (one int per vector, one 64-bit lane per coordinate, see gfalg)
 reduced by the prefix's echelon basis, with the prefix's pivot lanes
-removed, so a vector loses alpha_s lanes at each level; init_code checks
+cut out, so a vector loses alpha_s lanes at each level; init_code checks
 all C(n, k) subsets, regenerate only the C(n-1, k-1) that contain the
 repaired node, the only ones a repair can break. Coefficients are
 gfalg.draws, the values of rng.randrange(q), so a seed gives the code it
@@ -157,7 +157,7 @@ def verify_rcp(state: CodeState, through: int | None = None):
     The subsets are walked depth first in lexicographic order, on the
     columns packed once per call. Below each prefix the later nodes' blocks
     are carried reduced by the prefix's echelon basis with the prefix's
-    pivot lanes removed (gfalg.quotient), M_s - alpha_s * depth lanes;
+    pivot lanes cut out (gfalg.quotient), M_s - alpha_s * depth lanes;
     adding a node then reduces the later blocks against only that node's
     basis, and the rank a block keeps is the rank it adds to the prefix.
     At minimum storage (M_s = k * alpha_s) a subset spans the file only if
@@ -173,10 +173,10 @@ def verify_rcp(state: CodeState, through: int | None = None):
         order.remove(through)
         order.insert(0, through)
 
-    def walk(prefix, nodes, vectors, width, stop):
+    def walk(prefix, nodes, vectors, stop):
         """The first failing subset that extends prefix by nodes[i:] with
-        i < stop; vectors holds the nodes' blocks, alpha packed rows each,
-        of `width` lanes: their quotient by the span of the prefix."""
+        i < stop; vectors holds the nodes' blocks, alpha packed rows each:
+        their quotient by the span of the prefix."""
         need = k - len(prefix)
         for i in range(stop):
             subset = prefix + (nodes[i],)
@@ -188,16 +188,14 @@ def verify_rcp(state: CodeState, through: int | None = None):
             basis = gfalg.echelon(block, q)
             if len(basis) < alpha:
                 return subset + tuple(nodes[i + 1:i + need])
-            rest = gfalg.quotient(basis, vectors[(i + 1) * alpha:], q, width)
-            found = walk(subset, nodes[i + 1:], rest, width - alpha,
-                         len(nodes) - i - need + 1)
+            rest = gfalg.quotient(basis, vectors[(i + 1) * alpha:], q)
+            found = walk(subset, nodes[i + 1:], rest, len(nodes) - i - need + 1)
             if found:
                 return found
         return None
 
     vectors = gfalg.pack_rows([v for node in order for v in state.columns[node - 1]], q)
-    witness = walk((), order, vectors, state.M_s,
-                   1 if through is not None else len(order) - k + 1)
+    witness = walk((), order, vectors, 1 if through is not None else len(order) - k + 1)
     return (True, None) if witness is None else (False, tuple(sorted(witness)))
 
 

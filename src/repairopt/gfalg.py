@@ -9,18 +9,17 @@ lanes are taken mod q only where a pivot reads them and when a vector is
 unpacked to find and normalise a new pivot. Elimination uses the first
 nonzero pivot in column order so ranks are reproducible.
 
-Rank needs only forward elimination. `echelon` gives the span of a set of
-vectors as an echelon basis, a list of (pivot, row) pairs in ascending
-pivot order, where row is the packed basis vector, 1 at its pivot and 0
-left of it. `quotient` reduces vectors by such a basis in ascending
-pivot order, which zeroes (mod q) the lanes of its pivots, and removes
-those lanes, so that the rank of a union of blocks can be taken one block
-at a time on vectors that shrink by the rank of each block. Both take
-the lowest pivots fast: while the pivots are lanes 0, 1, ..., as they are
-for most blocks of a random code, each row's multiplier is read from the
-low word and the vector is shifted down one lane per pivot. Any other
-pivot set takes the general reduction, after which `quotient` unpacks
-the vector, drops the pivot lanes and repacks the rest mod q.
+Rank needs only forward elimination, and one loop, `_peel`, does all of
+it. `echelon` gives the span of a set of vectors as an echelon basis, a
+list of (pivot, row) pairs in the order found: each vector is peeled by
+the rows found before it, and its first lane that is nonzero mod q is a
+new pivot, whose row is the peeled vector normalised, 1 at the pivot and
+0 below it. To peel by a row is to clear its pivot lane mod q and then
+cut that lane out, so that the lanes above move down one; pivots and
+rows are read in the lanes left by the pivots before them. `quotient`
+peels vectors by a basis, so the rank of a union of blocks can be taken
+one block at a time on vectors that shrink by the rank of each block,
+and `mat_rank` peels the last vector by the basis of the others.
 
 `draws` gives uniform elements of GF(q), the values of rng.randrange(q),
 and `combine` sums multiples of packed vectors in their lanes and reduces
@@ -31,8 +30,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import insort
-from operator import itemgetter
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, Math. Comp. 2017).
@@ -137,84 +134,58 @@ def combine(coefficients, vectors, q: int, width: int) -> list[int]:
     return [x % q for x in _unpack(total, width)]
 
 
-def _residual(basis, v: int, q: int) -> int:
-    """The packed vector reduced by each basis vector in pivot order; its
-    lanes are not reduced mod q."""
+def _peel(basis, v: int, q: int) -> int:
+    """The packed vector reduced by each (pivot, row) of an echelon basis in
+    the order found, each pivot lane cut out once the row has cleared it
+    mod q, so the lanes above move down one: a row is read in the lanes
+    left by the pivots found before it. Lanes are not reduced mod q."""
     for p, row in basis:
+        if p == 0:
+            # most blocks of a random code pivot on lane 0 every time, where
+            # a plain shift cuts the lane; through the mask and shift below,
+            # the any-k checks of the code-sim benchmark take about 40 % longer
+            f = (v & _WORD) % q
+            if f:
+                v += (q - f) * row
+            v >>= 64
+            continue
         f = (v >> 64 * p & _WORD) % q
         if f:
             v += (q - f) * row
+        v = (v >> 64 * (p + 1) << 64 * p) | (v & (1 << 64 * p) - 1)
     return v
 
 
-def _peel(lead, v: int, q: int) -> int:
-    """The packed vector reduced by basis rows whose pivots are lanes 0, 1,
-    ..., each row shifted down to its pivot: a row clears lane 0 mod q,
-    which is then shifted out, so the result is the residual shifted down
-    past those lanes."""
-    for row in lead:
-        f = (v & _WORD) % q
-        if f:
-            v += (q - f) * row
-        v >>= 64
-    return v
-
-
-def quotient(basis, vectors, q: int, width: int) -> list[int]:
-    """Each packed vector of `width` lanes reduced by an echelon basis,
-    with the basis's pivot lanes removed: width - len(basis) lanes, in
-    which a vector in the span reads 0 mod q, and whose rank is the rank
-    that the vectors add to the basis. Each basis row is applied to a
-    vector once, as in the reduction `echelon` makes."""
-    if not basis or basis[-1][0] == len(basis) - 1:
-        lead = [row >> 64 * p for p, row in basis]
-        return [_peel(lead, v, q) for v in vectors]
-    pivots = {p for p, _ in basis}
-    keep = [i for i in range(width) if i not in pivots]
-    out = []
-    for v in vectors:
-        lanes = _unpack(_residual(basis, v, q), width)
-        out.append(_pack([lanes[i] % q for i in keep]))
-    return out
+def quotient(basis, vectors, q: int) -> list[int]:
+    """Each packed vector peeled by an echelon basis, the basis's pivot
+    lanes cut out: it reads 0 mod q exactly when it is in the span, and the
+    rank of the images is the rank that the vectors add to it."""
+    return [_peel(basis, v, q) for v in vectors]
 
 
 def echelon(vectors, q: int) -> list[tuple[int, int]]:
-    """Echelon basis of the span of the packed vectors; its length is
-    their rank. While the pivots found are lanes 0, 1, ..., a vector is
-    reduced by peeling them off, and the next pivot is read from the low
-    word; after the first vector that has none there, by the general
-    reduction and a search of its lanes."""
+    """Echelon basis of the span of the packed vectors, its length their
+    rank: each vector is peeled by the rows found so far, and its first
+    lane that is nonzero mod q, if any, is a new pivot, whose row is the
+    vector normalised mod q: 1 at the pivot and 0 below it."""
     basis: list[tuple[int, int]] = []
-    lead: list[int] | None = []   # the basis rows, shifted down to their pivots
     for v in vectors:
-        if lead is not None:
-            v = _peel(lead, v, q)
-            x = (v & _WORD) % q
-            if x:
-                inv = pow(x, -1, q)
-                row = _pack([y * inv % q for y in _unpack(v, -(-v.bit_length() // 64))])
-                basis.append((len(lead), row << 64 * len(lead)))
-                lead.append(row)
-                continue
-            v <<= 64 * len(lead)
-            lead = None
-        else:
-            v = _residual(basis, v, q)
+        v = _peel(basis, v, q)
         lanes = _unpack(v, -(-v.bit_length() // 64))
         for p, x in enumerate(lanes):
             if x % q:
                 inv = pow(x, -1, q)
-                insort(basis, (p, _pack([y * inv % q for y in lanes])), key=itemgetter(0))
+                basis.append((p, _pack([y * inv % q for y in lanes])))
                 break
     return basis
 
 
 def mat_rank(vectors, q: int) -> int:
     """Rank of the packed vectors over GF(q). The last vector needs no
-    basis row: it adds one to the rank of the others when its residual
-    has a lane that is nonzero mod q."""
+    basis row: it adds one to the rank of the others when its peeled
+    residual has a lane that is nonzero mod q."""
     if not vectors:
         return 0
     basis = echelon(vectors[:-1], q)
-    v = _residual(basis, vectors[-1], q)
+    v = _peel(basis, vectors[-1], q)
     return len(basis) + any(x % q for x in _unpack(v, -(-v.bit_length() // 64)))

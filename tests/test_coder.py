@@ -292,22 +292,24 @@ class TestVerifyRcp:
         self.walk_equals_scan(*state_and_node)
 
     def test_pivots_past_lane_0_below_a_prefix(self, monkeypatch):
-        """Nodes 1 and 2 read 0 in coordinate 0 and node 4 repeats node 3:
-        node 1's pivots are lanes 1 and 2, and below it node 2's reduced
-        block, 4 lanes wide, still reads 0 in lane 0, so its pivots are
-        lanes 1 and 2 too and the walk repacks there. It returns the
-        scan's witness, (1, 3, 4)."""
+        """Nodes 1 and 2 read 0 in coordinate 0 and node 4 repeats node 3.
+        Pivots are recorded in the order found, each counted in the lanes
+        still left: node 1's are lanes 1 and 1 (coordinates 1 and 2), and
+        below it node 2's reduced block, 4 lanes wide, still reads 0 in
+        lane 0, so its pivots are lanes 1 and 1 too and the walk cuts
+        lanes past lane 0 there; node 3's block below (1, 2) pivots on
+        lane 0 twice. It returns the scan's witness, (1, 3, 4)."""
         nodes = [list(node) for node in self.HEALTHY]
         for v in (0, 1):
             nodes[v] = [(0,) + col[1:] for col in nodes[v]]
         nodes[3] = nodes[2]
         state = code_state(13, 3, nodes)
         real, seen = gfalg.quotient, []
-        monkeypatch.setattr(gfalg, "quotient", lambda basis, vectors, q, width: (
-            seen.append((width, [p for p, _ in basis])) or real(basis, vectors, q, width)))
+        monkeypatch.setattr(gfalg, "quotient", lambda basis, vectors, q: (
+            seen.append([p for p, _ in basis]) or real(basis, vectors, q)))
         assert verify_rcp(state) == reference_rcp(state.columns, 6, 3, 6, 13) \
             == (False, (1, 3, 4))
-        assert seen[:3] == [(6, [1, 2]), (4, [1, 2]), (4, [0, 1])]
+        assert seen[:3] == [[1, 1], [1, 1], [0, 0]]
 
 
 class TestInitCode:

@@ -203,8 +203,10 @@ class TestMatrices:
         """Square matrices over the largest field whose lanes hold their
         rows, with entries near q and a row often a combination of the
         others, so that most have full rank and many do not; the rank
-        agrees with the Leibniz determinant and the echelon basis is 1 at
-        each pivot, 0 left of it."""
+        agrees with the Leibniz determinant. The j-th basis row, found
+        after j pivot lanes were cut, has n - j lanes and is 1 at its
+        pivot and 0 below it, and read back in the original lanes the
+        pivots of a full-rank basis are every lane once."""
         q = limit_prime(n)
         entry = st.one_of(st.integers(0, q - 1), st.integers(q - 3, q - 1), st.integers(0, 2))
         m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -216,11 +218,13 @@ class TestMatrices:
         full = leibniz_det(m, q) != 0
         assert (len(basis) == n) == full
         assert mat_rank(rows, q) == len(basis)
-        assert [p for p, _ in basis] == sorted({p for p, _ in basis})
-        for p, row in basis:
-            assert lanes(row, n, q)[:p + 1] == [0] * p + [1]
+        for j, (p, row) in enumerate(basis):
+            assert p < n - j and row.bit_length() <= 64 * (n - j)
+            assert lanes(row, n - j, q)[:p + 1] == [0] * p + [1]
+        left = list(range(n))
+        original = [left.pop(p) for p, _ in basis]
         if full:
-            assert [p for p, _ in basis] == list(range(n))
+            assert sorted(original) == list(range(n))
 
 
     @pytest.mark.parametrize("q", LARGE_PRIMES)
@@ -277,24 +281,43 @@ class TestCombine:
         assert combine([], [], q, width) == [0] * width
 
 
-def residual(basis, v, width, q):
-    """The coordinates mod q of a packed vector reduced by each basis row
-    in pivot order, on plain lists."""
-    x = lanes(v, width, q)
-    for p, row in basis:
+def plain_residual(rows, v, q):
+    """A plain-list vector mod q reduced by plain-list echelon rows in
+    ascending pivot order: it reads 0 in every pivot lane."""
+    x = [a % q for a in v]
+    for p, row in rows:
         f = x[p]
-        x = [(a - f * b) % q for a, b in zip(x, lanes(row, width, q))]
+        x = [(a - f * b) % q for a, b in zip(x, row)]
     return x
 
 
-def check_quotient(basis, vectors, q, width):
-    """Each quotient has width - len(basis) lanes, and they are, mod q, the
-    lanes of the plain-list residual that are not pivots of the basis."""
-    pivots = {p for p, _ in basis}
-    size = width - len(basis)
-    for v, image in zip(vectors, quotient(basis, vectors, q, width)):
+def plain_echelon(spanning, q):
+    """(pivot, row) pairs of the span of plain-list vectors, in ascending
+    pivot order, each row 1 at its pivot and 0 left of it: the pivots are
+    the span's leading lanes."""
+    rows = []
+    for v in spanning:
+        x = plain_residual(rows, v, q)
+        p = next((j for j, a in enumerate(x) if a), None)
+        if p is not None:
+            inv = pow(x[p], -1, q)
+            rows = sorted(rows + [(p, [a * inv % q for a in x])])
+    return rows
+
+
+def check_quotient(spanning, vectors, q, width):
+    """The package's quotient by the echelon basis of the spanning vectors
+    is, mod q, the plain-list residual of each vector without the span's
+    leading lanes, in width - rank lanes; neither side reads the package's
+    basis rows."""
+    rows = plain_echelon(spanning, q)
+    pivots = {p for p, _ in rows}
+    basis = echelon(pack_rows(spanning, q), q)
+    assert len(basis) == len(rows)
+    size = width - len(rows)
+    for v, image in zip(vectors, quotient(basis, pack_rows(vectors, q), q)):
         assert image.bit_length() <= 64 * size
-        assert lanes(image, size, q) == [x for j, x in enumerate(residual(basis, v, width, q))
+        assert lanes(image, size, q) == [x for j, x in enumerate(plain_residual(rows, v, q))
                                          if j not in pivots]
 
 
@@ -304,23 +327,28 @@ class TestResiduals:
 
     def test_worked_example(self):
         # modulo the span of (1, 2, 0) and (0, 0, 1) over GF(5), (a, b, c)
-        # keeps b - 2a, the one lane left when the pivot lanes 0 and 2 go
-        spanning = pack_rows([[1, 2, 0], [0, 0, 1]], 5)
-        vectors = pack_rows([[1, 2, 3], [0, 1, 4], [3, 0, 0]], 5)
-        basis = echelon(spanning, 5)
-        assert [p for p, _ in basis] == [0, 2]
-        assert quotient(basis, vectors, 5, 3) == [0, 1, 4]
-        check_quotient(basis, vectors, 5, 3)
+        # keeps b - 2a, the one lane left when the pivot lanes 0 and 2 go;
+        # the second pivot is lane 1 of the two lanes left after lane 0 is
+        # cut, and the other order cuts lane 2 first, then lane 0
+        spanning = [[1, 2, 0], [0, 0, 1]]
+        vectors = [[1, 2, 3], [0, 1, 4], [3, 0, 0]]
+        for order, pivots in ((spanning, [0, 1]), (spanning[::-1], [2, 0])):
+            basis = echelon(pack_rows(order, 5), 5)
+            assert [p for p, _ in basis] == pivots
+            assert [v % 5 for v in quotient(basis, pack_rows(vectors, 5), 5)] == [0, 1, 4]
+            check_quotient(order, vectors, 5, 3)
 
     def test_leading_pivots_shift_out(self):
-        # pivots 0 and 1 over GF(7): (a, b, c) keeps c - 2a - 3b, read
-        # from what was lane 2, whose lanes need no reduction mod q
-        basis = echelon(pack_rows([[1, 0, 2], [0, 1, 3]], 7), 7)
-        assert [p for p, _ in basis] == [0, 1]
-        vectors = pack_rows([[1, 1, 5], [2, 0, 0], [6, 6, 6]], 7)
-        assert [v % 7 for v in quotient(basis, vectors, 7, 3)] == [0, 3, 4]
-        check_quotient(basis, vectors, 7, 3)
-        assert quotient([], vectors, 7, 3) == vectors
+        # pivots 0 and 1 over GF(7), each lane 0 of the lanes left: (a, b, c)
+        # keeps c - 2a - 3b, read from what was lane 2, whose lanes need no
+        # reduction mod q
+        spanning = [[1, 0, 2], [0, 1, 3]]
+        basis = echelon(pack_rows(spanning, 7), 7)
+        assert [p for p, _ in basis] == [0, 0]
+        vectors = [[1, 1, 5], [2, 0, 0], [6, 6, 6]]
+        assert [v % 7 for v in quotient(basis, pack_rows(vectors, 7), 7)] == [0, 3, 4]
+        check_quotient(spanning, vectors, 7, 3)
+        assert quotient([], pack_rows(vectors, 7), 7) == pack_rows(vectors, 7)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7, LIMIT_6]), st.integers(1, 6), st.data())
@@ -333,7 +361,7 @@ class TestResiduals:
         rows = pack_rows(spanning + [inside], q)
         basis = echelon(rows[:-1], q)
         size = width - len(basis)
-        image = quotient(basis, rows[-1:], q, width)[0]
+        image = quotient(basis, rows[-1:], q)[0]
         assert image.bit_length() <= 64 * size
         assert lanes(image, size, q) == [0] * size
 
@@ -352,6 +380,26 @@ class TestResiduals:
         vectors = data.draw(st.lists(vector, max_size=4))
         rows = pack_rows(spanning + vectors, q)
         basis = echelon(rows[:len(spanning)], q)
-        image = quotient(basis, rows[len(spanning):], q, width)
+        image = quotient(basis, rows[len(spanning):], q)
         assert mat_rank(rows, q) - len(basis) == mat_rank(image, q)
-        check_quotient(basis, rows[len(spanning):], q, width)
+        check_quotient(spanning, vectors, q, width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, LIMIT_6]), st.integers(1, 6), st.data())
+    def test_images_do_not_depend_on_the_order_of_the_span(self, q, width, data):
+        """The bases of one span found in two orders can differ in pivots
+        and rows but pivot on the same original lanes, so the quotient
+        images agree mod q, with a lane often zeroed in every spanning
+        vector so that pivots fall past lane 0."""
+        vector = st.lists(st.integers(0, q - 1), min_size=width, max_size=width)
+        spanning = data.draw(st.lists(vector, max_size=width))
+        zeroed = data.draw(st.integers(0, width - 1) | st.none())
+        if zeroed is not None:
+            spanning = [v[:zeroed] + [0] + v[zeroed + 1:] for v in spanning]
+        shuffled = data.draw(st.permutations(spanning))
+        vectors = pack_rows(data.draw(st.lists(vector, min_size=1, max_size=4)), q)
+        size = width - mat_rank(pack_rows(spanning, q), q)
+        first, second = ([lanes(v, size, q) for v in quotient(echelon(pack_rows(order, q), q),
+                                                             vectors, q)]
+                         for order in (spanning, shuffled))
+        assert first == second

@@ -67,6 +67,28 @@ def test_every_default_is_set_by_a_caller():
     assert never_set == []
 
 
+def test_every_parameter_is_read():
+    """Every parameter of a package function or lambda, `self` and `cls`
+    excepted, is read in its body, so a parameter left behind by a
+    half-finished removal fails here."""
+    functions, unread = 0, []
+    for path, module in PACKAGE.items():
+        for fn in ast.walk(module):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            functions += 1
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(fn, "name", "lambda")
+            unread += [f"{path.name}: {name}({arg})" for arg in params
+                       if arg not in read and arg not in ("self", "cls")]
+    assert functions > 0 and unread == []
+
+
 def test_per_layer_metrics_name_public_functions():
     """Every `<layer>.<function>.calls` or `.self_s` metric of the
     benchmark, through the tracer's ALIASES, names a module-level public
