@@ -46,7 +46,9 @@ FIXTURES = {
 
 def fixture_spec(name: str) -> NetworkSpec:
     """The network of the FIXTURES row `name`."""
-    return build_topology(**FIXTURES[name][0])
+    args = dict(FIXTURES[name][0])
+    overrides = args.pop("overrides", None)
+    return build_topology(**args, overrides=overrides)
 
 
 def run_fixture_suite() -> list[dict]:

@@ -233,6 +233,8 @@ _UNIT = Fraction(1)   # the cost of every generated link not overridden
 def _links(kind: str, n: int, center: int | None,
            rows: int | None, cols: int | None) -> list[tuple[int, int]]:
     """The undirected links of a generated topology, as (low, high) pairs."""
+    if n < 3:
+        raise TopologyError("need n >= 3")
     if center is not None and kind != "star":
         raise TopologyError(f"only a star topology takes a center, not {kind!r}")
     if (rows is not None or cols is not None) and kind != "grid":
@@ -262,6 +264,8 @@ def _orient_toward(links: list[tuple[int, int]], n: int, target: int) -> list[tu
     edges follow a fixed total order. Every generated topology is
     connected, so the BFS reaches both ends of every link.
     """
+    if not (1 <= target <= n):
+        raise TopologyError("failed node out of range")
     adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for a, b in links:
         adj[a].append(b)
@@ -277,8 +281,13 @@ def _orient_toward(links: list[tuple[int, int]], n: int, target: int) -> list[tu
     return sorted((b, a) if dist[b] > dist[a] else (a, b) for a, b in links)
 
 
+def _first_survivors(n: int, failed: int, d: int) -> tuple[int, ...]:
+    """The helpers of a generated topology: the first d survivors by id."""
+    return tuple(v for v in range(1, n + 1) if v != failed)[:d]
+
+
 def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = None,
-                   failed: int | None = None, helpers=None, center: int | None = None,
+                   failed: int | None = None, center: int | None = None,
                    rows: int | None = None, cols: int | None = None,
                    overrides: dict[tuple[int, int], Fraction] | None = None) -> NetworkSpec:
     """Build a NetworkSpec for one of the canonical topologies.
@@ -286,8 +295,7 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
     Generated links carry unit cost unless overridden; overrides match an
     oriented edge by its endpoint pair in either order.
     """
-    if n < 3:
-        raise TopologyError("need n >= 3")
+    links = _links(kind, n, center, rows, cols)
     if k < 1:
         raise TopologyError(f"need k >= 1, got k={k}")
     M = parse_rational(M)
@@ -297,19 +305,12 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
     if M is None or alpha is None:
         raise TopologyError("alpha and M must be finite")
     failed = n if failed is None else failed
-    if not (1 <= failed <= n):
-        raise TopologyError("failed node out of range")
-    if helpers is None:
-        helpers = tuple(v for v in range(1, n + 1) if v != failed)
-        if d is not None:
-            helpers = helpers[:d]
-    helpers = tuple(helpers)
-    d = len(helpers) if d is None else d
+    d = n - 1 if d is None else d
 
     # one unit Fraction for every link, or the override as given:
     # CostMatrix converts only what is not a Fraction
     entries = {}
-    for (i, j) in _orient_toward(_links(kind, n, center, rows, cols), n, failed):
+    for (i, j) in _orient_toward(links, n, failed):
         c = _UNIT
         if overrides:
             c = overrides.get((i, j), overrides.get((j, i), c))
@@ -322,42 +323,35 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
         params.extend([("rows", rows), ("cols", cols)])
 
     return NetworkSpec(n=n, k=k, d=d, alpha=alpha, M=M, failed=failed,
-                       helpers=helpers, cost=cm, kind=kind, params=tuple(params))
-
-
-def _rebuild(spec: NetworkSpec, *, failed: int, d: int | None = None,
-             helpers=None) -> NetworkSpec:
-    """Generate the spec's kind and params again at the given failure, with
-    every link cost other than the generated unit cost as an override."""
-    overrides = {(i, j): c for (i, j) in spec.cost.edges() if (c := spec.cost.cost(i, j)) != 1}
-    return build_topology(spec.kind, spec.n, k=spec.k, M=spec.M, alpha=spec.alpha, d=d,
-                          failed=failed, helpers=helpers, center=spec.param("center"),
-                          rows=spec.param("rows"), cols=spec.param("cols"),
-                          overrides=overrides)
+                       helpers=_first_survivors(n, failed, d), cost=cm, kind=kind,
+                       params=tuple(params))
 
 
 def _kind_matches(spec: NetworkSpec) -> bool:
-    """Whether the spec's kind and params, with its non-unit link costs as
-    overrides, generate exactly its cost matrix."""
+    """Whether the spec's kind takes exactly its params and generates its
+    links, oriented toward its failure."""
+    params = dict(spec.params)
+    shape = {name: params.pop(name, None) for name in ("center", "rows", "cols")}
     try:
-        built = _rebuild(spec, failed=spec.failed, helpers=spec.helpers)
+        links = _links(spec.kind, spec.n, **shape)
     except TopologyError:
         return False
-    return built.cost == spec.cost and dict(built.params) == dict(spec.params)
+    return not params and spec.cost.edges() == _orient_toward(links, spec.n, spec.failed)
 
 
 def respec_failure(spec: NetworkSpec, failed: int) -> NetworkSpec:
-    """Rebuild the same topology for a failure at a different position;
-    at its own failure a spec is itself, helpers and all.
-
-    Link costs carry over by endpoint pair, so non-unit links keep their
-    cost when the orientation flips toward the new failure.
-    """
+    """The same topology with the failure at another position: each of the
+    spec's links turns toward it and keeps its cost, and the first d
+    survivors help. At its own failure a spec is itself, helpers and all."""
     if failed == spec.failed:
         return spec
     if spec.kind == "custom":
         raise TopologyError("cannot re-derive a custom topology for a new failure")
-    return _rebuild(spec, failed=failed, d=spec.d)
+    cost = {(i, j) if i < j else (j, i): spec.cost.cost(i, j) for i, j in spec.cost.edges()}
+    entries = {(i, j): cost[(i, j) if i < j else (j, i)]
+               for i, j in _orient_toward(list(cost), spec.n, failed)}
+    return replace(spec, failed=failed, helpers=_first_survivors(spec.n, failed, spec.d),
+                   cost=CostMatrix(spec.n, entries))
 
 
 def spec_to_json(spec: NetworkSpec) -> dict:
@@ -406,6 +400,9 @@ def spec_from_json(doc) -> NetworkSpec:
         alpha, M = parse_rational(doc["alpha"]), parse_rational(doc["M"])
         if alpha is None or M is None:
             raise TopologyError("alpha and M must be finite")
+        helpers, params = doc["helpers"], doc.get("params", {})
+        if not isinstance(helpers, list) or not isinstance(params, dict):
+            raise TopologyError("helpers must be a JSON array and params a JSON object")
         kind = doc.get("kind", "custom")
         if kind != "custom" and kind not in TOPOLOGIES:
             raise TopologyError(f"unknown topology kind {kind!r}")
@@ -416,11 +413,10 @@ def spec_from_json(doc) -> NetworkSpec:
             alpha=alpha,
             M=M,
             failed=_integer(doc["failed"]),
-            helpers=tuple(_integer(h) for h in doc["helpers"]),
+            helpers=tuple(_integer(h) for h in helpers),
             cost=CostMatrix(n, entries),
             kind=kind,
-            params=tuple((str(name), _integer(v))
-                         for name, v in dict(doc.get("params", {})).items()),
+            params=tuple((str(name), _integer(v)) for name, v in params.items()),
         )
         if spec.kind != "custom" and not _kind_matches(spec):
             spec = replace(spec, kind="custom", params=())

@@ -394,10 +394,12 @@ class TestSpecRoundTrip:
         assert cells["closed_form"] == "" and cells["gain_paper"] == ""
         assert cells["baseline"] == "4"
 
-    @pytest.mark.parametrize("change", ["cost", "helpers", "list", "alpha", "bool"])
+    @pytest.mark.parametrize("change", ["cost", "helpers", "string helpers", "list", "alpha",
+                                        "bool"])
     def test_malformed_document_is_a_usage_error(self, change, tmp_path):
         doc = json.loads(run("topology", "gen", *TANDEM).output)
         doc = {"cost": dict(doc, cost=5), "helpers": dict(doc, helpers=None),
+               "string helpers": dict(doc, helpers="123"),
                "list": [doc], "alpha": dict(doc, alpha="inf"),
                "bool": dict(doc, alpha=True)}[change]
         path = tmp_path / "network.json"

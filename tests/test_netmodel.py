@@ -1,6 +1,9 @@
 import copy
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -151,14 +154,14 @@ class TestTopologies:
 
 class TestSpecValidation:
     def test_helper_count_must_match_d(self):
+        spec = build_topology("tandem", 4, k=2, M=4, alpha=2, failed=4)
         with pytest.raises(TopologyError):
-            build_topology("tandem", 4, k=2, M=4, alpha=2, failed=4,
-                           helpers=(1, 2), d=3)
+            replace(spec, helpers=(1, 2), d=3)
 
     def test_failed_cannot_help(self):
+        spec = build_topology("tandem", 4, k=2, M=4, alpha=2, failed=4)
         with pytest.raises(TopologyError):
-            build_topology("tandem", 4, k=2, M=4, alpha=2, failed=4,
-                           helpers=(2, 3, 4))
+            replace(spec, helpers=(2, 3, 4))
 
     def test_k_bounds(self):
         with pytest.raises(TopologyError):
@@ -294,8 +297,35 @@ class TestRespecAndJson:
     def test_respec_at_own_failure_is_the_spec(self, kind, shape):
         """At its own failure a spec keeps its helpers, even ones the
         generator would not choose."""
-        spec = build_topology(kind, 6, k=2, M=4, alpha=2, failed=3, helpers=(5, 6), **shape)
+        spec = replace(build_topology(kind, 6, k=2, M=4, alpha=2, failed=3, **shape),
+                       d=2, helpers=(5, 6))
         assert respec_failure(spec, spec.failed) is spec
+
+    # (kind, n, shape) of every generator with 3 <= n <= 8: star centres 1
+    # and n, every grid shape
+    SHAPES = ([("tandem", n, {}) for n in range(3, 9)]
+              + [("star", n, {"center": c}) for n in range(3, 9) for c in (1, n)]
+              + [("grid", n, {"rows": r, "cols": n // r})
+                 for n in range(3, 9) for r in range(1, n + 1) if n % r == 0]
+              + [("complete", n, {}) for n in range(3, 9)])
+
+    def test_respec_equals_the_generator_at_every_failure(self):
+        """Moved to any failure, a generated spec with random link costs,
+        and the same spec read back from its JSON, equal what the
+        generator builds there."""
+        rng = random.Random(25)
+        costs = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
+        for kind, n, shape in self.SHAPES:
+            for d in sorted({2, n - 1}):
+                overrides = {pair: rng.choice(costs) for pair in combinations(range(1, n + 1), 2)}
+                at = dict(kind=kind, n=n, k=2, M=4, d=d, overrides=overrides, **shape)
+                spec = build_topology(**at, failed=rng.randint(1, n))
+                back = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
+                assert back == spec
+                for failed in range(1, n + 1):
+                    built = build_topology(**at, failed=failed)
+                    assert respec_failure(spec, failed) == built, (kind, n, shape, d, failed)
+                    assert respec_failure(back, failed) == built, (kind, n, shape, d, failed)
 
     def test_respec_custom_only_in_place(self):
         cm = CostMatrix(3, {(1, 3): Fraction(1), (2, 3): Fraction(1)})
@@ -356,12 +386,26 @@ class TestRespecAndJson:
         assert back.kind == "custom" and back.params == ()
         assert back.cost.to_rows() == cost
 
+    def test_json_of_two_nodes_reads_as_custom(self):
+        """The generator refuses n < 3, so a two-node line is no tandem."""
+        doc = {"n": 2, "k": 1, "d": 1, "alpha": "1", "M": "1", "failed": 2, "helpers": [1],
+               "cost": [["0", "1"], ["inf", "0"]], "kind": "tandem", "params": {}}
+        back = spec_from_json(doc)
+        assert back.kind == "custom" and back.params == ()
+
+    def test_json_grid_params_in_any_order_keep_the_kind(self):
+        doc = spec_to_json(build_topology("grid", 6, k=3, M=6, rows=2, cols=3, failed=6))
+        doc["params"] = {"cols": 3, "rows": 2}
+        back = spec_from_json(doc)
+        assert back.kind == "grid" and dict(back.params) == {"rows": 2, "cols": 3}
+
     @pytest.mark.parametrize("change", [
         {"cost": 5}, {"helpers": None}, {"alpha": "inf"}, {"n": None},
         {"params": [1]}, {"kind": "ring"}, {"n": float("inf")}, {"failed": 3.5},
         {"helpers": [1, 2, True]}, {"alpha": True}, {"M": False},
         {"cost": [["0", True, "inf", "inf"], ["inf", "0", "1", "inf"],
-                  ["inf", "inf", "0", "1"], ["inf", "inf", "inf", "0"]]}])
+                  ["inf", "inf", "0", "1"], ["inf", "inf", "inf", "0"]]},
+        {"helpers": "123"}, {"helpers": {"1": 0, "2": 0, "3": 0}}, {"params": []}])
     def test_json_malformed_field(self, change):
         doc = spec_to_json(build_topology("tandem", 4, k=2, M=4, failed=4))
         with pytest.raises(TopologyError):

@@ -1,12 +1,13 @@
 """The package's surface holds nothing without a caller: no unused import,
 no re-export from the package root, no import inside a function (where it
-would hide an import cycle), and no defaulted parameter that only tests
-set; every function a benchmark metric names exists; and no module uses
-another's private names. Read with the stdlib ast and json modules;
-nothing is imported."""
+would hide an import cycle), no function, class or method that only tests
+call, and no defaulted parameter that only tests set; every function a
+benchmark metric names exists; and no module uses another's private
+names. Read with the stdlib ast and json modules; nothing is imported."""
 
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +66,45 @@ def test_every_default_is_set_by_a_caller():
             never_set += [f"{path.name}: {fn.name}({arg}=)" for arg, i in params
                           if (fn.name, arg) not in set_by and (fn.name, i) not in set_by]
     assert never_set == []
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read in tree, as a bare name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def _click_command(fn) -> bool:
+    """Whether a decorator makes fn a click command or group, which click
+    calls by the name it registers, not by fn's."""
+    return any(isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute)
+               and dec.func.attr in ("command", "group") for dec in fn.decorator_list)
+
+
+def test_every_function_has_a_caller():
+    """Every module-level function and class of the package, and every
+    method but a dunder, a property or a click command, is read by name
+    outside its own body in the package or in a non-test benchmark file,
+    so code that only tests call, or that a removal left behind, fails
+    here."""
+    reads = sum(map(_reads, CALLERS), Counter())
+    dunder = lambda name: name.startswith("__") and name.endswith("__")
+    defined, uncalled = 0, []
+    for path, module in PACKAGE.items():
+        top = [node for node in module.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        methods = [fn for cls in top if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and not dunder(fn.name)
+                   and not any(getattr(dec, "id", None) == "property"
+                               for dec in fn.decorator_list)]
+        for member in top + methods:
+            if isinstance(member, ast.FunctionDef) and _click_command(member):
+                continue
+            defined += 1
+            if reads[member.name] - _reads(member)[member.name] <= 0:
+                uncalled.append(f"{path.name}: {member.name}")
+    assert defined > 50 and uncalled == []
 
 
 def test_every_parameter_is_read():
