@@ -12,6 +12,7 @@ import inspect
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -58,10 +59,11 @@ def _encode(value, newline: str) -> str:
 
     json.dumps encodes in pure Python when it indents; this writes the
     same text directly. It tests types in json's order (a bool is not an
-    int, a Fraction reaches `default`), joins a list of plain ints in one
-    step, and hands anything else (floats, other objects, dicts with keys
-    that are not strings) to json.dumps, whose text at level 0 only needs
-    the deeper line breaks."""
+    int, a Fraction reaches `default`) and joins in one step a list of
+    plain ints, a list of Fractions, and a list of rows whose entries are
+    all the plain ints 0 and 1 (the cut rows). It hands anything else
+    (floats, other objects, dicts with keys that are not strings) to
+    json.dumps, whose text at level 0 only needs the deeper line breaks."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -76,10 +78,15 @@ def _encode(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
+        types = set(map(type, value))
+        if types == {int}:
             items = map(int.__repr__, value)
+        elif types == {Fraction}:
+            items = ['"' + format_rational(x) + '"' for x in value]
         else:
-            items = [_encode(item, inner) for item in value]
+            items = _bit_rows(value, inner) if types <= {list, tuple} else None
+            if items is None:
+                items = [_encode(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict) and all(isinstance(key, str) for key in value):
         if not value:
@@ -90,6 +97,29 @@ def _encode(value, newline: str) -> str:
     if isinstance(value, Fraction):
         return encode_basestring_ascii(format_rational(value))
     return json.dumps(value, indent=2, default=format_rational).replace("\n", newline)
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bit_rows(rows, newline: str) -> list[str] | None:
+    """The JSON texts of rows whose entries are all the ints 0 and 1 (not
+    bools, which json writes as words), at the nesting level whose line
+    break and indent is newline; None for any other rows. Each row is
+    written as its bytes turned into digits, with the separator between
+    every two digits."""
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    try:
+        blobs = list(map(bytes, rows))
+    except ValueError:  # an entry below 0 or above 255
+        return None
+    if b"".join(blobs).translate(None, b"\0\1"):
+        return None
+    inner = newline + "  "
+    sep = "," + inner
+    return ["[" + inner + sep.join(blob.translate(_DIGITS).decode()) + newline + "]"
+            if blob else "[]" for blob in blobs]
 
 
 def _emit(text: str, out: str | None, filename: str):

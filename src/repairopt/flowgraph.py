@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import mul
+from itertools import accumulate
+from operator import mul, or_
 
 from .netmodel import NetworkSpec, TopologyError
 
@@ -92,6 +92,10 @@ def check_feasible(cs: ConstraintSet, z) -> bool:
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+# (x, x without one of its bits) for every 4-bit value x and bit it holds,
+# ordered bit by bit: OR-ing along these pairs turns a table of the rows with
+# each chunk value into a table of the rows whose chunk is a submask of each
+_SUBMASK_STEPS = tuple((x, x ^ b) for b in (1, 2, 4, 8) for x in range(16) if x & b)
 
 
 def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> ConstraintSet:
@@ -108,13 +112,19 @@ def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> Constrai
     M - alpha * c, which constrains nothing unless c <= c_max =
     ceil(M/alpha) - 1. Only those partitions are visited: each set S
     with k-1 <= |S| <= c_max once, C(n-1, k-1) of them at the
-    minimum-storage point.
+    minimum-storage point. Each set is its prefix set plus one later
+    survivor, so its masks cost one OR each, and a prefix that can no
+    longer gather k-1 helpers is not extended.
 
     Rows are integer masks whose bits follow the edge order, so masks
     compare as the row tuples do: a crossing set is the head mask of the
     DC side with its tail mask cleared. Duplicates are dropped; reduce=True
-    additionally removes dominated rows. Rows become tuples only on output,
-    and each rhs Fraction is built once per crossing count c.
+    additionally removes dominated rows. Dominance makes no pairwise
+    compares: the rows are taken by bit count, and per 4-bit chunk of the
+    mask a table gives, for each chunk value, the kept rows whose chunk
+    lies inside it, as a bit set. The AND of a row's lookups is the kept
+    rows that are submasks of it. Rows become tuples only on output, and
+    each rhs Fraction is built once per crossing count c.
     """
     spec = fg.spec
     if spec.n > 12:
@@ -134,45 +144,89 @@ def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> Constrai
         else:
             head[j] |= bit
     c_max = math.ceil(spec.M / spec.alpha) - 1
+    need = spec.k - 1
     helpers = set(spec.helpers)
-    rows: set[tuple[int, int]] = set()  # (crossing mask, storage edges c)
-    for c in range(spec.k - 1, min(c_max, len(spec.survivors)) + 1):
-        for S in combinations(spec.survivors, c):
-            if len(helpers.intersection(S)) < spec.k - 1:
-                continue
-            h = t = 0
-            for v in S:
-                h |= head[v]
-                t |= tail[v]
-            rows.add(((h | into_nu) & ~t, c))  # in_nu on the DC side
-            if c < c_max:
-                rows.add((h & ~t, c + 1))  # in_nu on the source side
+    slots = [(head[v], tail[v], v in helpers) for v in spec.survivors]
+    top = min(c_max, len(slots))
+    # (crossing mask, -c): sorted plainly, masks come in row order and, of
+    # one mask, the fewest storage edges (the largest rhs) last
+    rows: set[tuple[int, int]] = set()
+    # the sets S of one size, each as (head mask, tail mask, helpers in S,
+    # the slot after its last member); the walk starts at the empty set,
+    # the data collector of k = 1
+    sets = [(0, 0, 0, 0)]
+    for size in range(top + 1):
+        if size >= need:
+            for h, t, held, _ in sets:
+                if held >= need:
+                    rows.add(((h | into_nu) & ~t, -size))  # in_nu on the DC side
+                    if size < c_max:
+                        rows.add((h & ~t, -size - 1))  # in_nu on the source side
+        if size == top:
+            break
+        # a set of size+1 holding fewer than short_of helpers cannot reach
+        # k-1 of them by size top
+        short_of = need - (top - size - 1)
+        sets = [(h | sh, t | st, held + sv, nxt)
+                for h, t, held, first in sets
+                for nxt, (sh, st, sv) in enumerate(slots[first:], first + 1)
+                if held + sv >= short_of]
 
-    # mask order is row-tuple order; for one mask, fewer storage edges
-    # means a larger rhs, which sorts last
-    ordered = sorted(rows, key=lambda row: (row[0], -row[1]))
+    ordered = sorted(rows)
     if reduce:
         # (r2, c2) implies (r, c) when r2 is a submask of r and c2 <= c, so
         # of one mask only the least c (the last) survives. A strict
-        # submask is a smaller number with fewer bits, and implication is
-        # transitive, so a row need only be compared with the rows kept
-        # before it that have fewer bits.
-        least = dict(ordered)
-        ordered, kept = [], {}  # kept: bit count -> rows
-        for r, c in least.items():
-            bits = r.bit_count()
-            if not any(r2 & ~r == 0 and c2 <= c
-                       for b in range(bits) for r2, c2 in kept.get(b, ())):
-                ordered.append((r, c))
-                kept.setdefault(bits, []).append((r, c))
+        # submask has fewer bits, and implication is transitive, so a row
+        # need only be checked against the rows kept at lower bit counts.
+        least_c = dict(ordered)
+        by_bits: dict[int, list[tuple[int, int]]] = {}
+        for r, nc in least_c.items():
+            by_bits.setdefault(r.bit_count(), []).append((r, nc))
+        shifts = range(0, m, 4)
+        # per chunk and chunk value, and per c: the kept rows, kept row i
+        # as bit i
+        with_value = [[0] * 16 for _ in shifts]
+        with_c = [0] * (top + 2)
+        dropped = set()
+        kept = 0
+        levels = sorted(by_bits)
+        for bits in levels:
+            level = by_bits[bits]
+            if kept:
+                inside = [values.copy() for values in with_value]
+                for table in inside:
+                    for x, y in _SUBMASK_STEPS:
+                        table[x] |= table[y]
+                tables = list(zip(shifts, inside))
+                at_most = list(accumulate(with_c, or_))  # kept rows of c2 <= c
+                level = []
+                for r, nc in by_bits[bits]:
+                    below = at_most[-nc]
+                    for shift, table in tables:
+                        if not below:
+                            break
+                        below &= table[(r >> shift) & 15]
+                    if below:
+                        dropped.add(r)
+                    else:
+                        level.append((r, nc))
+            if bits == levels[-1]:
+                break  # no later level looks its rows up
+            for r, nc in level:
+                bit = 1 << kept
+                kept += 1
+                for shift, values in zip(shifts, with_value):
+                    values[(r >> shift) & 15] |= bit
+                with_c[-nc] |= bit
+        ordered = [(r, nc) for r, nc in least_c.items() if r not in dropped]
     # a row's entries are the mask's m binary digits, as bytes 0 and 1
     digits = f"0{m}b"
     # one rhs per crossing count; a cut crosses at most n storage edges
-    rhs = {c: spec.M - spec.alpha * c for c in range(spec.k - 1, min(c_max, spec.n) + 1)}
+    rhs = {-c: spec.M - spec.alpha * c for c in range(spec.k - 1, min(c_max, spec.n) + 1)}
     return ConstraintSet(
         edge_index=fg.edge_index,
         rows=tuple(tuple(format(r, digits).encode().translate(_BITS)) for r, _ in ordered),
-        rhs=tuple(rhs[c] for _, c in ordered),
+        rhs=tuple(rhs[nc] for _, nc in ordered),
     )
 
 

@@ -105,6 +105,13 @@ class TestJsonWriter:
     @example({'say "hi"\n': [1, True, 0, False, -2**70], "\u00e9\x01": {}, "": [], "t": ()})
     @example([Fraction(-7, 3), Fraction(4), None, [[]], {"a": {"b": (1, 2)}}])
     @example({1: [2, 3], "x": {None: Fraction(1, 2), True: 1.5, 2.5: "y"}})
+    # rows of 0s and 1s, and lists that look like them but are not
+    @example({"L": [(0, 1), (1, True)], "M": [[False, 0], [1, 1]]})
+    @example([(0, 1, 1), (1, 2, 0)])
+    @example([[1, 0], [-1, 0]])
+    @example([(1, 0), (), [0, 1]])
+    @example([(0, 1), [1, 1], (1, 0)])
+    @example({"b": [Fraction(1, 2), 3, Fraction(-4)], "c": [Fraction(5, 3), True]})
     def test_same_text_as_json_dumps(self, payload):
         assert cli._json(payload) == json.dumps(payload, indent=2, default=format_rational)
 

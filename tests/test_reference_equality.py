@@ -117,6 +117,8 @@ def small_specs(draw):
 @example(build_topology("grid", 6, k=3, M=7, alpha="5/2", rows=2, cols=3, failed=2))
 @example(build_topology("star", 7, k=3, M="13/2", alpha="3/2", center=1, failed=7))
 @example(build_topology("complete", 7, k=3, d=4, M=6, alpha=2, failed=7))
+# k = 1: the collector holds no helper, and the only row is the link into nu
+@example(build_topology("tandem", 3, k=1, M=1, alpha=1, failed=1))
 def test_small_specs(spec):
     try:
         build_flow_graph(spec)
