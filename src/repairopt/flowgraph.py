@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul, or_
+from operator import mul
 
 from .netmodel import NetworkSpec, TopologyError
 
@@ -119,12 +118,18 @@ def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> Constrai
     Rows are integer masks whose bits follow the edge order, so masks
     compare as the row tuples do: a crossing set is the head mask of the
     DC side with its tail mask cleared. Duplicates are dropped; reduce=True
-    additionally removes dominated rows. Dominance makes no pairwise
+    additionally removes dominated rows. A row (r, c) joins c, in unary,
+    to its mask, so (r2, c2) dominates (r, c) exactly when its joint mask
+    is a strict submask of the row's. Dominance makes no pairwise
     compares: the rows are taken by bit count, and per 4-bit chunk of the
-    mask a table gives, for each chunk value, the kept rows whose chunk
-    lies inside it, as a bit set. The AND of a row's lookups is the kept
-    rows that are submasks of it. Rows become tuples only on output, and
-    each rhs Fraction is built once per crossing count c.
+    joint mask a table gives, for each chunk value, the kept rows whose
+    chunk lies inside it, as a bit set. The AND of a row's lookups is the
+    kept rows that are submasks of it. Rows become tuples only on output,
+    and each rhs Fraction is built once per crossing count c.
+
+    Below alpha = M/k the reduced rows hold an empty row with a positive
+    rhs, so no repair exists; from M/(k-1) on (k >= 2) there are none;
+    in between every rhs is M - (k-1) alpha.
     """
     spec = fg.spec
     if spec.n > 12:
@@ -172,53 +177,48 @@ def enumerate_cut_constraints(fg: FlowGraph, *, reduce: bool = True) -> Constrai
                 for nxt, (sh, st, sv) in enumerate(slots[first:], first + 1)
                 if held + sv >= short_of]
 
-    ordered = sorted(rows)
     if reduce:
-        # (r2, c2) implies (r, c) when r2 is a submask of r and c2 <= c, so
-        # of one mask only the least c (the last) survives. A strict
-        # submask has fewer bits, and implication is transitive, so a row
-        # need only be checked against the rows kept at lower bit counts.
-        least_c = dict(ordered)
-        by_bits: dict[int, list[tuple[int, int]]] = {}
-        for r, nc in least_c.items():
-            by_bits.setdefault(r.bit_count(), []).append((r, nc))
-        shifts = range(0, m, 4)
-        # per chunk and chunk value, and per c: the kept rows, kept row i
-        # as bit i
+        # (r2, c2) implies (r, c) when r2 is a submask of r and c2 <= c.
+        # Under the mask, c is written in unary, c - (k-1) ones in w bits,
+        # so c2 <= c exactly when unary(c2) is a submask of unary(c): the
+        # rule is one strict-submask test on e = r << w | unary(c), and of
+        # one mask only the least c survives. A strict submask has fewer
+        # bits, and implication is transitive, so a row need only be
+        # checked against the rows kept at lower bit counts. Every c lies
+        # in need..min(c_max, top + 1); w < 0 only when there are no rows.
+        w = max(min(c_max, top + 1) - need, 0)
+        by_bits: dict[int, list[int]] = {}
+        for r, nc in rows:
+            e = r << w | (1 << (-nc - need)) - 1
+            by_bits.setdefault(e.bit_count(), []).append(e)
+        shifts = range(0, m + w, 4)
+        # per chunk and chunk value: the kept rows, kept[i] as bit i
         with_value = [[0] * 16 for _ in shifts]
-        with_c = [0] * (top + 2)
-        dropped = set()
-        kept = 0
+        kept: list[int] = []
         levels = sorted(by_bits)
         for bits in levels:
-            level = by_bits[bits]
-            if kept:
-                inside = [values.copy() for values in with_value]
-                for table in inside:
-                    for x, y in _SUBMASK_STEPS:
-                        table[x] |= table[y]
-                tables = list(zip(shifts, inside))
-                at_most = list(accumulate(with_c, or_))  # kept rows of c2 <= c
-                level = []
-                for r, nc in by_bits[bits]:
-                    below = at_most[-nc]
-                    for shift, table in tables:
-                        if not below:
-                            break
-                        below &= table[(r >> shift) & 15]
-                    if below:
-                        dropped.add(r)
-                    else:
-                        level.append((r, nc))
-            if bits == levels[-1]:
-                break  # no later level looks its rows up
-            for r, nc in level:
-                bit = 1 << kept
-                kept += 1
-                for shift, values in zip(shifts, with_value):
-                    values[(r >> shift) & 15] |= bit
-                with_c[-nc] |= bit
-        ordered = [(r, nc) for r, nc in least_c.items() if r not in dropped]
+            inside = [values.copy() for values in with_value]
+            for table in inside:
+                for x, y in _SUBMASK_STEPS:
+                    table[x] |= table[y]
+            tables = list(zip(shifts, inside))
+            level = []
+            for e in by_bits[bits]:
+                below = -1
+                for shift, table in tables:
+                    below &= table[(e >> shift) & 15]
+                    if not below:
+                        level.append(e)
+                        break
+            if bits != levels[-1]:  # no later level looks the last one up
+                for i, e in enumerate(level, len(kept)):
+                    for shift, values in zip(shifts, with_value):
+                        values[(e >> shift) & 15] |= 1 << i
+            kept += level
+        low = (1 << w) - 1
+        ordered = sorted((e >> w, -need - (e & low).bit_count()) for e in kept)
+    else:
+        ordered = sorted(rows)
     # a row's entries are the mask's m binary digits, as bytes 0 and 1
     digits = f"0{m}b"
     # one rhs per crossing count; a cut crosses at most n storage edges

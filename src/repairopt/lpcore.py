@@ -90,8 +90,6 @@ def solve_min_cost(cs: ConstraintSet, costs) -> LPSolution:
     if any(c < 0 for c in c_int):
         raise LPError("negative cost entry")
     r = len(cs.rows)
-    if r == 0:
-        return LPSolution("optimal", _ZERO, (_ZERO,) * m, (), 0)
     try:
         rows = [[-operator.index(x) for x in row] for row in cs.rows]
     except TypeError as exc:

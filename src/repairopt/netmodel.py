@@ -228,6 +228,7 @@ def baseline_cost(spec: NetworkSpec) -> Fraction:
 
 TOPOLOGIES = ("tandem", "star", "grid", "complete")
 _UNIT = Fraction(1)   # the cost of every generated link not overridden
+_SHAPE = ("center", "rows", "cols")   # the shape options, in params order
 
 
 def _links(kind: str, n: int, center: int | None,
@@ -316,22 +317,18 @@ def build_topology(kind: str, n: int, *, k: int, M, alpha=None, d: int | None = 
             c = overrides.get((i, j), overrides.get((j, i), c))
         entries[(i, j)] = c
     cm = CostMatrix(n, entries)
-    params: list[tuple[str, int]] = []
-    if kind == "star":
-        params.append(("center", center))
-    if kind == "grid":
-        params.extend([("rows", rows), ("cols", cols)])
-
+    # _links accepted only the shape options the kind takes
+    params = tuple((name, v) for name, v in zip(_SHAPE, (center, rows, cols)) if v is not None)
     return NetworkSpec(n=n, k=k, d=d, alpha=alpha, M=M, failed=failed,
                        helpers=_first_survivors(n, failed, d), cost=cm, kind=kind,
-                       params=tuple(params))
+                       params=params)
 
 
 def _kind_matches(spec: NetworkSpec) -> bool:
     """Whether the spec's kind takes exactly its params and generates its
     links, oriented toward its failure."""
     params = dict(spec.params)
-    shape = {name: params.pop(name, None) for name in ("center", "rows", "cols")}
+    shape = {name: params.pop(name, None) for name in _SHAPE}
     try:
         links = _links(spec.kind, spec.n, **shape)
     except TopologyError:

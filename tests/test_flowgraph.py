@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +144,46 @@ class TestMsrOracle:
                         cs = enumerate_cut_constraints(fg, reduce=False)
                         assert set(cs.rows) == set(rows) and len(cs.rows) == len(set(rows))
                         assert set(cs.rhs) == {alpha}
+
+
+class TestAlphaRegimes:
+    def test_reduced_rows_by_regime(self):
+        """The reduced rows in the three regimes of alpha.
+
+        Below M/k the first k - 1 helpers in topological order take no
+        retained link from outside, so their cut with in_nu on the source
+        side crosses no link: an empty row at rhs M - k alpha > 0, or one
+        at M - (k-1) alpha when no other helper links to the new node,
+        and the LP is infeasible. From M/(k-1) on (k >= 2) no cut
+        constrains, and the optimum is 0. In between every rhs is
+        M - (k-1) alpha. Every generated kind on 3 to 6 nodes and every
+        failure position, k in 1..n-2 with the default d and d = k, and
+        alpha = M/x for x from k + 1 down to k - 3/2."""
+        M = Fraction(6)
+        for n in range(3, 7):
+            for kind, shape in generated_shapes(n):
+                for failed, k in product(range(1, n + 1), range(1, n - 1)):
+                    xs = [x for x in (k + 1, k + Fraction(1, 2), k, k - Fraction(1, 2),
+                                      k - 1, k - Fraction(3, 2)) if x > 0]
+                    for d, x in product((None, k), xs):
+                        alpha = M / x
+                        spec = build_topology(kind, n, k=k, d=d, M=M, alpha=alpha,
+                                              failed=failed, **shape)
+                        try:
+                            cs, costs = repair_cuts(spec)
+                        except TopologyError:
+                            continue
+                        sol = solve_min_cost(cs, costs)
+                        case = (kind, shape, n, failed, k, d, alpha)
+                        if x > k:
+                            assert any(not any(row) and b >= M - k * alpha
+                                       for row, b in zip(cs.rows, cs.rhs)), case
+                            assert sol.status == "infeasible", case
+                        elif k >= 2 and x <= k - 1:
+                            assert cs.rows == (), case
+                            assert sol.status == "optimal" and sol.value == 0, case
+                        else:
+                            assert set(cs.rhs) <= {M - (k - 1) * alpha}, case
 
 
 @st.composite

@@ -119,6 +119,11 @@ def small_specs(draw):
 @example(build_topology("complete", 7, k=3, d=4, M=6, alpha=2, failed=7))
 # k = 1: the collector holds no helper, and the only row is the link into nu
 @example(build_topology("tandem", 3, k=1, M=1, alpha=1, failed=1))
+# alpha < M/k: raw rows at four crossing counts, reduced to the empty row at
+# c = k and the rows at c = k - 1
+@example(build_topology("grid", 6, k=3, M=6, alpha=1, rows=2, cols=3, failed=6))
+# d = k on the grid: the rows reduce to one empty row at c = k - 1
+@example(build_topology("grid", 6, k=4, d=4, M=8, alpha=2, rows=2, cols=3, failed=6))
 def test_small_specs(spec):
     try:
         build_flow_graph(spec)
