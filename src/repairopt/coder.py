@@ -62,7 +62,6 @@ class RepairPlan:
     scale: int               # subfragments per original fragment
     new_node: int
     lp_value: Fraction       # in original fragment units
-    n_nc: int
 
     def active_edges(self) -> list[tuple[tuple[int, int], int]]:
         return [(e, c) for e, c in zip(self.edges, self.counts) if c > 0]
@@ -73,19 +72,19 @@ class RepairPlan:
         total = sum((c * n for c, n in zip(self.costs, self.counts)), Fraction(0))
         return total / self.scale
 
-
-def compute_n_nc(edges, counts, new_node: int) -> int:
-    """1 + the largest number of encoding nodes on any active path into
-    the new node (the new node itself counts as one encoder)."""
-    active = [e for e, c in zip(edges, counts) if c > 0]
-    if not active:
-        raise ValueError("empty repair plan")
-    depth = {v: 0 for e in active for v in e}
-    for v in topological_order(depth, active):
-        for i, j in active:
-            if i == v:
-                depth[j] = max(depth[j], depth[i] + 1)
-    return depth[new_node] + 1
+    @property
+    def n_nc(self) -> int:
+        """1 + the largest number of encoding nodes on any active path into
+        the new node (the new node itself counts as one encoder)."""
+        active = [e for e, _ in self.active_edges()]
+        if not active:
+            raise ValueError("empty repair plan")
+        depth = {v: 0 for e in active for v in e}
+        for v in topological_order(depth, active):
+            for i, j in active:
+                if i == v:
+                    depth[j] = max(depth[j], depth[i] + 1)
+        return depth[self.new_node] + 1
 
 
 def code_field(n: int, k: int, M_s: int, n_nc: int) -> tuple[int, int]:
@@ -123,8 +122,7 @@ def make_plan(spec: NetworkSpec) -> RepairPlan:
     scale = math.lcm(*denoms)
     counts = tuple(int(v * scale) for v in sol.z_star)
     return RepairPlan(edges=cs.edge_index, costs=tuple(costs), counts=counts, scale=scale,
-                      new_node=spec.failed, lp_value=sol.value,
-                      n_nc=compute_n_nc(cs.edge_index, counts, spec.failed))
+                      new_node=spec.failed, lp_value=sol.value)
 
 
 @dataclass(frozen=True)
@@ -232,12 +230,14 @@ def regenerate(state: CodeState, plan: RepairPlan, *, rng: random.Random,
     Precondition: `state` holds the any-k property (every state that
     init_code and regenerate return does). A repair changes only the
     failed node's columns, so only the C(n-1, k-1) subsets that contain
-    it can lose the property, and those are the only ones checked.
+    it can lose the property, and those are the only ones checked. The
+    plan's scale must divide the state's, whose unit each count is scaled to.
     """
-    if plan.scale != state.scale:
+    factor, rest = divmod(state.scale, plan.scale)
+    if rest:
         raise ValueError("plan granularity does not match the code state")
     q, M_s = state.q, state.M_s
-    active = plan.active_edges()
+    active = [(e, c * factor) for e, c in plan.active_edges()]
     if not active:
         raise ValueError("empty repair plan")
     inflow = sum(c for (_, j), c in active if j == plan.new_node)
@@ -323,9 +323,6 @@ def simulate_stages(spec: NetworkSpec, T: int, seed=None, *,
     # every plan's scale is a multiple of M.denominator, so M * scale is integral
     scale = math.lcm(*(plan.scale for plan in plans.values()))
     d0, q = code_field(spec.n, spec.k, int(spec.M * scale), spec.n)
-    plans = {node: replace(plan, counts=tuple(c * (scale // plan.scale) for c in plan.counts),
-                           scale=scale)
-             for node, plan in plans.items()}
     state, _ = init_code(spec, q, rng=rng, scale=scale, retries=retries)
     candidates = sorted(plans)
     reports = []

@@ -55,7 +55,6 @@ def init_vandermonde(n: int, k: int, q: int, *, seed) -> VandermondeCode:
 
 @dataclass(frozen=True)
 class RepairTranscript:
-    coefficients: tuple[int, ...]            # per helper, backward then forward
     hops: tuple[tuple[int, int, int], ...]   # (sender, receiver, symbol)
     restored: int
     expected: int
@@ -90,26 +89,24 @@ def exact_repair(code: VandermondeCode, t: int, k1: int, k2: int) -> RepairTrans
     backward = list(range(t - k1, t))
     forward = list(range(t + 1, t + k2 + 1))
     helpers = backward + forward
-    xi = []
+    xi = {}
     for j in helpers:
         num = den = 1
         for m in helpers:
             if m != j:
                 num = num * (t - m) % q
                 den = den * (j - m) % q
-        xi.append(num * pow(den, -1, q) % q)
+        xi[j] = num * pow(den, -1, q) % q
 
-    coeff = dict(zip(helpers, xi))
     hops: list[tuple[int, int, int]] = []
     restored = 0
     for chain in (backward, forward[::-1]):   # each chain ends at t
         acc = 0
         for node, nxt in zip(chain, chain[1:] + [t]):
-            acc = (acc + coeff[node] * code.stored_symbol(node)) % q
+            acc = (acc + xi[node] * code.stored_symbol(node)) % q
             hops.append((node, nxt, acc))
         restored = (restored + acc) % q
-    return RepairTranscript(coefficients=tuple(xi), hops=tuple(hops), restored=restored,
-                            expected=code.stored_symbol(t))
+    return RepairTranscript(hops=tuple(hops), restored=restored, expected=code.stored_symbol(t))
 
 
 def default_split(t: int, n: int, k: int) -> tuple[int, int]:

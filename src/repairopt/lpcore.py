@@ -12,7 +12,8 @@ degenerate pivots (ratio 0) as there are rows, Bland's rule takes over
 until the objective rises, so the pivot sequence is deterministic and
 cannot cycle. At the optimum the reduced costs of the slacks form a dual
 certificate y >= 0 with y'L <= c' and y'b equal to the optimum, and
-solve_min_cost audits that certificate (verify_dual) before it returns an
+solve_min_cost audits both halves before it returns an optimum: that
+certificate (verify_dual), and z >= 0, Lz >= b and c.z equal to the
 optimum, so every optimum it returns certifies itself.
 
 The tableau is condensed (Tucker 1960; Chvatal 1983): the identity
@@ -82,7 +83,7 @@ def _entering_column(row, cbar, cols, bland: bool):
 
 def solve_min_cost(cs: ConstraintSet, costs) -> LPSolution:
     """Solve min c.z over the cut polytope with deterministic pivoting;
-    an optimum whose dual certificate fails its audit raises LPError."""
+    an optimum that fails its primal or dual audit raises LPError."""
     m = len(cs.edge_index)
     c_scale, c_int = _integer_scale(costs)
     if len(c_int) != m:
@@ -159,6 +160,14 @@ def solve_min_cost(cs: ConstraintSet, costs) -> LPSolution:
     sol = LPSolution("optimal", value, tuple(z), tuple(dual), pivots)
     if not verify_dual(cs, costs, sol):
         raise LPError("the optimum failed its dual certificate audit")
+    # the primal half: z >= 0, Lz >= b and c.z = value, on z scaled to integers
+    z_scale, z_int = _integer_scale(sol.z_star)
+    if (any(v < 0 for v in z_int)
+            or any(sum(map(operator.mul, row, z_int)) * b_scale < b * z_scale
+                   for row, b in zip(cs.rows, b_int))
+            or sum(map(operator.mul, c_int, z_int)) * sol.value.denominator
+            != sol.value.numerator * c_scale * z_scale):
+        raise LPError("the optimum failed its primal audit")
     return sol
 
 

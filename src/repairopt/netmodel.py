@@ -148,20 +148,14 @@ class CostMatrix:
             rows.append(row)
         return rows
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CostMatrix)
-            and self.n == other.n
-            and self._cost == other._cost
-        )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSpec:
     """Storage system parameters plus the repair scenario.
 
     alpha = M/k is the minimum-storage regime that the baseline and the
     coder require; other (alpha, M) combinations are legal for planning only.
+    A spec equals only itself; compare spec_to_json documents for value.
     """
 
     n: int
@@ -391,7 +385,7 @@ def spec_from_json(doc) -> NetworkSpec:
         for i, row in enumerate(rows, start=1):
             for j, cell in enumerate(row, start=1):
                 c = parse_rational(cell)
-                if i == j or c is None:
+                if c is None and i != j:
                     continue
                 entries[(i, j)] = c
         alpha, M = parse_rational(doc["alpha"]), parse_rational(doc["M"])

@@ -2,7 +2,9 @@
 
 These deliberately share no code with the package: max-flow instead of
 cut enumeration, one row per helper subset at the minimum-storage point
-instead of the partition walk, exhaustive path enumeration instead of
+instead of the partition walk, a depth-first search back from the new
+node instead of the flow graph's pass over a topological order for the
+links a repair may use, exhaustive path enumeration instead of
 the one-pass least-cost walk over a topological order, an exhaustive
 grid search instead of the simplex, the Leibniz formula
 instead of elimination, and a scan of every k-subset, each a determinant
@@ -21,8 +23,6 @@ results must equal theirs exactly.
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
-
-from repairopt.flowgraph import build_flow_graph
 
 INF = Fraction(10**12)
 
@@ -45,8 +45,7 @@ def max_flow_value(spec, z, K):
         add("S", ("in", s), INF)
         add(("in", s), ("out", s), Fraction(spec.alpha))
     add(("in", nu), ("out", nu), Fraction(spec.alpha))
-    fg = build_flow_graph(spec)
-    for (i, j), v in zip(fg.edge_index, z):
+    for (i, j), v in zip(retained_links(spec), z):
         head = ("in", nu) if j == nu else ("out", j)
         add(("out", i), head, Fraction(v))
     for i in K:
@@ -221,14 +220,11 @@ def reference_rcp(columns, n, k, M_s, q, through=None):
     return True, None
 
 
-def msr_cut_rows(spec):
-    """(links, rows) of the cut inequalities at the minimum-storage point,
-    M = k alpha, where every cut has one form: for each (k-1)-subset K of
-    helpers, the links entering K and the new node nu from outside carry
-    at least alpha. links are the links between helpers or from a helper
-    into nu whose ends both reach nu over such links, in lexicographic
-    order; rows holds one 0/1 row over them per K, in the order of
-    combinations(spec.helpers, k - 1), duplicates kept."""
+def retained_links(spec):
+    """The links between helpers or from a helper into the new node nu
+    whose ends both reach nu over such links, in lexicographic order: the
+    edges of the stage-1 flow graph, found by a depth-first search back
+    from nu."""
     nu, helpers = spec.failed, set(spec.helpers)
     candidate = sorted((i, j) for (i, j) in spec.cost.edges()
                        if i in helpers and (j in helpers or j == nu))
@@ -241,7 +237,17 @@ def msr_cut_rows(spec):
             if i not in reach:
                 reach.add(i)
                 stack.append(i)
-    links = [(i, j) for (i, j) in candidate if i in reach and j in reach]
+    return [(i, j) for (i, j) in candidate if i in reach and j in reach]
+
+
+def msr_cut_rows(spec):
+    """(links, rows) of the cut inequalities at the minimum-storage point,
+    M = k alpha, where every cut has one form: for each (k-1)-subset K of
+    helpers, the links entering K and the new node nu from outside carry
+    at least alpha. links are retained_links(spec); rows holds one 0/1
+    row over them per K, in the order of combinations(spec.helpers, k - 1),
+    duplicates kept."""
+    nu, links = spec.failed, retained_links(spec)
     rows = []
     for K in combinations(spec.helpers, spec.k - 1):
         inside = set(K) | {nu}

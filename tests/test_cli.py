@@ -495,6 +495,28 @@ class TestCleanErrors:
         self.usage_error(run("solve", *TANDEM),
                          "the optimum failed its dual certificate audit")
 
+    def test_failed_primal_audit(self, monkeypatch):
+        """An optimum whose z* is not the optimal point (here zeroed, so no
+        cut is met) fails the primal audit, though its dual certificate
+        holds."""
+        solution = lpcore.LPSolution
+
+        def zeroed(status, value, z_star, dual, pivots):
+            return solution(status, value, tuple(0 * v for v in z_star), dual, pivots)
+
+        monkeypatch.setattr(lpcore, "LPSolution", zeroed)
+        self.usage_error(run("solve", *TANDEM), "the optimum failed its primal audit")
+
+    @pytest.mark.parametrize("cell", ["5", "inf"])
+    def test_spec_diagonal_must_be_zero(self, cell, tmp_path):
+        """A --spec document whose diagonal is not 0 is refused, not read
+        as 0."""
+        doc = json.loads(run("topology", "gen", *TANDEM).output)
+        doc["cost"][0][0] = cell
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(doc))
+        self.usage_error(run("solve", "--spec", str(path)), "diagonal entries must be 0")
+
     @pytest.mark.parametrize("command", [("code", "--retries", "0"),
                                          ("simulate", "--stages", "0"),
                                          ("simulate", "--retries", "0")])

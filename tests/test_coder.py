@@ -13,9 +13,9 @@ from repairopt.bounds import compare_lp_to_bounds
 from repairopt.cli import main
 from repairopt.coder import (
     CodeState,
+    RepairPlan,
     RetryExhaustedError,
     code_field,
-    compute_n_nc,
     init_code,
     make_plan,
     regenerate,
@@ -47,19 +47,25 @@ STARVED_DOC = {"n": 4, "k": 2, "d": 2, "alpha": "2", "M": "4", "failed": 4, "hel
                         ["inf", "inf", "0", "1"], ["inf", "inf", "inf", "0"]]}
 
 
+def unit_plan(edges, counts, new_node) -> RepairPlan:
+    """A plan at scale 1 with unit link costs."""
+    return RepairPlan(edges=edges, costs=(Fraction(1),) * len(edges), counts=counts,
+                      scale=1, new_node=new_node, lp_value=Fraction(sum(counts)))
+
+
 class TestEncodingDepth:
     def test_chain_depth(self):
         edges = ((1, 2), (2, 3), (3, 4))
-        assert compute_n_nc(edges, (0, 2, 2), 4) == 3
-        assert compute_n_nc(edges, (2, 2, 2), 4) == 4
+        assert unit_plan(edges, (0, 2, 2), 4).n_nc == 3
+        assert unit_plan(edges, (2, 2, 2), 4).n_nc == 4
 
     def test_direct_links_only(self):
         edges = ((1, 5), (2, 5), (3, 5))
-        assert compute_n_nc(edges, (1, 1, 1), 5) == 2
+        assert unit_plan(edges, (1, 1, 1), 5).n_nc == 2
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError, match="empty repair plan"):
-            compute_n_nc(((1, 2),), (0,), 2)
+            unit_plan(((1, 2),), (0,), 2).n_nc
 
     def test_field_size_bound(self):
         assert code_field(4, 2, 4, 3) == (72, 73)
@@ -372,6 +378,20 @@ class TestRegenerate:
         state, _ = init_code(spec, 73, rng=random.Random(1))
         with pytest.raises(ValueError, match="plan delivers 1 subfragments"):
             regenerate(state, replace(plan, counts=(0, 2, 1)), rng=random.Random(1))
+
+    @pytest.mark.parametrize("name", ["tandem-n4", "grid-2x3"])
+    def test_plan_runs_at_the_state_scale(self, name):
+        """A plan at scale s on a state at scale 2s repairs exactly as the
+        same plan restated at 2s: the same state in as many attempts."""
+        spec = fixture_spec(name)
+        plan = make_plan(spec)
+        scale = 2 * plan.scale
+        doubled = replace(plan, counts=tuple(2 * c for c in plan.counts), scale=scale)
+        _, q = code_field(spec.n, spec.k, int(spec.M * scale), plan.n_nc)
+        state, _ = init_code(spec, q, rng=random.Random(7), scale=scale)
+        for seed in range(3):
+            assert regenerate(state, plan, rng=random.Random(seed)) == \
+                regenerate(state, doubled, rng=random.Random(seed))
 
 
 class TestPipeline:

@@ -47,10 +47,10 @@ class TestInit:
 class TestRepair:
     def test_hand_checked_case(self):
         # nodes store m1 + m2 t over GF(5); rebuilding node 2 from nodes
-        # 1 and 3 multiplies both by 3 and sums
+        # 1 and 3 multiplies both by 3 and sums: 3 * 2 = 1 and 3 * 4 = 2
         code = VandermondeCode(4, 2, 5, (1, 1))
         transcript = exact_repair(code, 2, 1, 1)
-        assert transcript.coefficients == (3, 3)
+        assert transcript.hops == ((1, 2, 1), (3, 2, 2))
         assert transcript.exact
         assert transcript.restored == code.stored_symbol(2)
 
@@ -79,15 +79,15 @@ class TestRepair:
 
     @pytest.mark.parametrize("n, k, q", [(4, 2, 5), (6, 3, 7), (9, 4, 11), (12, 6, 13)])
     def test_coefficients_solve_the_vandermonde_system(self, n, k, q):
-        # xi' A = (1, t, ..., t^(k-1)) with one row (1, h, ...) of A per
-        # helper h, at every failed node and every split it allows
-        code = init_vandermonde(n, k, q, seed=k)
-        for t in range(1, n + 1):
-            for k1 in range(max(0, k - (n - t)), min(k, t - 1) + 1):
-                xi = exact_repair(code, t, k1, k - k1).coefficients
-                helpers = [*range(t - k1, t), *range(t + 1, t + k - k1 + 1)]
-                assert [sum(x * pow(h, e, q) for x, h in zip(xi, helpers)) % q
-                        for e in range(k)] == [pow(t, e, q) for e in range(k)]
+        # sum_h xi_h v_h(m) = v_t(m) for every message m exactly when
+        # xi' A = (1, t, ..., t^(k-1)), A holding one row (1, h, ...) per
+        # helper h; by linearity the k unit messages decide it, at every
+        # failed node and every split it allows
+        for e in range(k):
+            code = VandermondeCode(n, k, q, tuple(int(i == e) for i in range(k)))
+            for t in range(1, n + 1):
+                for k1 in range(max(0, k - (n - t)), min(k, t - 1) + 1):
+                    assert exact_repair(code, t, k1, k - k1).exact, (e, t, k1)
 
     def test_random_trials(self):
         rng = random.Random(123)

@@ -321,11 +321,13 @@ class TestRespecAndJson:
                 at = dict(kind=kind, n=n, k=2, M=4, d=d, overrides=overrides, **shape)
                 spec = build_topology(**at, failed=rng.randint(1, n))
                 back = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
-                assert back == spec
+                assert spec_to_json(back) == spec_to_json(spec)
                 for failed in range(1, n + 1):
-                    built = build_topology(**at, failed=failed)
-                    assert respec_failure(spec, failed) == built, (kind, n, shape, d, failed)
-                    assert respec_failure(back, failed) == built, (kind, n, shape, d, failed)
+                    built = spec_to_json(build_topology(**at, failed=failed))
+                    assert spec_to_json(respec_failure(spec, failed)) == built, \
+                        (kind, n, shape, d, failed)
+                    assert spec_to_json(respec_failure(back, failed)) == built, \
+                        (kind, n, shape, d, failed)
 
     def test_respec_custom_only_in_place(self):
         cm = CostMatrix(3, {(1, 3): Fraction(1), (2, 3): Fraction(1)})
@@ -343,9 +345,9 @@ class TestRespecAndJson:
         assert back.n == spec.n and back.k == spec.k and back.d == spec.d
         assert back.alpha == spec.alpha and back.M == spec.M
         assert back.failed == spec.failed and back.helpers == spec.helpers
-        assert back.cost == spec.cost
+        assert back.cost.to_rows() == spec.cost.to_rows()
         assert back.kind == "grid" and back.params == (("rows", 2), ("cols", 3))
-        assert back == spec
+        assert spec_to_json(back) == doc
 
     def test_json_without_kind_reads_as_custom(self):
         doc = spec_to_json(build_topology("star", 5, k=2, M=4, center=2, failed=1))
@@ -357,8 +359,8 @@ class TestRespecAndJson:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_json_keeps_kind_of_every_fixture(self, name):
         # non-unit link costs (complete-n5-cost3) carry over as overrides
-        spec = fixture_spec(name)
-        assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+        doc = json.loads(json.dumps(spec_to_json(fixture_spec(name))))
+        assert spec_to_json(spec_from_json(doc)) == doc
 
     @pytest.mark.parametrize("edit", ["added link", "flipped link", "dropped link",
                                       "wrong center", "extra param", "no params"])
@@ -472,4 +474,5 @@ class TestSpecDocumentFuzz:
         except TopologyError:
             return
         assert isinstance(spec, NetworkSpec)
-        assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+        doc = json.loads(json.dumps(spec_to_json(spec)))
+        assert spec_to_json(spec_from_json(doc)) == doc

@@ -1,9 +1,11 @@
 """The package's surface holds nothing without a caller: no unused import,
 no re-export from the package root, no import inside a function (where it
 would hide an import cycle), no function, class or method that only tests
-call, and no defaulted parameter that only tests set; every function a
-benchmark metric names exists; and no module uses another's private
-names. Read with the stdlib ast and json modules; nothing is imported."""
+call, no dataclass field that only tests read, and no defaulted
+parameter that only tests set; every function a benchmark metric names
+exists; no module uses another's private names; and the test oracles
+import nothing from the package. Read with the stdlib ast and json
+modules; nothing is imported."""
 
 import ast
 import json
@@ -105,6 +107,37 @@ def test_every_function_has_a_caller():
             if reads[member.name] - _reads(member)[member.name] <= 0:
                 uncalled.append(f"{path.name}: {member.name}")
     assert defined > 50 and uncalled == []
+
+
+def _dataclass(cls) -> bool:
+    return any(getattr(dec, "id", None) == "dataclass"
+               or getattr(getattr(dec, "func", None), "id", None) == "dataclass"
+               for dec in cls.decorator_list)
+
+
+def test_every_field_is_read():
+    """Every field of a package dataclass is read as an attribute, by
+    name, somewhere in the package or in a non-test benchmark file, so a
+    record member that only tests read, or that a removal left behind,
+    fails here. A read inside the field's own class counts: a property
+    may be the one reader."""
+    attributes = Counter(node.attr for module in CALLERS for node in ast.walk(module)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    fields = [(path.name, cls.name, node.target.id) for path, module in PACKAGE.items()
+              for cls in module.body if isinstance(cls, ast.ClassDef) and _dataclass(cls)
+              for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    assert len(fields) > 20
+    assert [f"{path}: {cls}.{name}" for path, cls, name in fields if not attributes[name]] == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    """tests/oracles.py shares no code with the package it checks."""
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = [alias.name if isinstance(node, ast.Import) else node.module
+                for node in ast.walk(oracles) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert imported and not any(name.split(".")[0] == "repairopt" for name in imported)
 
 
 def test_every_parameter_is_read():
